@@ -377,6 +377,9 @@ func (d *Driver) onPhaseComplete(pr *phaseRun) {
 	d.dropPreReserver(pr)
 	d.syncQueue(pr)
 	jr.phasesDone++
+	// The task set's manager lives exactly as long as its task set: every
+	// reader of jr.phases already skips completed phases.
+	jr.phases[pr.phase.ID] = nil
 
 	for _, child := range jr.job.Children(pr.phase.ID) {
 		jr.depsLeft[child]--
@@ -446,9 +449,7 @@ func (d *Driver) reconcileReservations(jr *jobRun) {
 // onJobComplete finalizes a job: record its finish time, release leftover
 // reservations, and drop its locality records.
 func (d *Driver) onJobComplete(jr *jobRun) {
-	jr.finished = true
-	jr.stats.Finish = d.eng.Now()
-	d.unfinished--
+	d.finish(jr)
 	for _, slot := range d.cl.ReservedSlots(jr.job.ID) {
 		res, _ := d.cl.Slot(slot).Reservation()
 		if err := d.cl.CancelReservation(slot); err != nil {
@@ -460,6 +461,7 @@ func (d *Driver) onJobComplete(jr *jobRun) {
 	d.returnLoans(jr, -1, -1)
 	d.loc.ForgetJob(jr.job.ID)
 	d.emitJob(EventJobDone, jr)
+	jr.retire()
 	d.recordTimeline(jr)
 	d.scheduleDispatch()
 }

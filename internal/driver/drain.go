@@ -299,12 +299,9 @@ func (d *Driver) onAttemptPreempted(att *attempt) {
 // scales on. Safe to call between simulation events.
 func (d *Driver) QueuedTasks() int {
 	n := 0
-	for _, jr := range d.jobs {
-		if jr.finished {
-			continue
-		}
+	for _, jr := range d.live {
 		for _, pr := range jr.phases {
-			if pr == nil || pr.tracker.Done() {
+			if pr == nil {
 				continue
 			}
 			n += pr.queued()

@@ -109,8 +109,10 @@ type Options struct {
 	// OnEvent, when non-nil, receives every scheduler lifecycle event
 	// (job/phase/attempt/reservation transitions) synchronously as it
 	// happens. Handlers run inside the simulation event and must not
-	// re-enter the driver; the online service layer bridges them onto
-	// its event bus.
+	// re-enter the driver, with two exceptions made for the owner of an
+	// online job store: the read-only snapshots (Progress, Result) and,
+	// from a job's terminal event, Forget of that job. The online service
+	// layer bridges the events onto its bus.
 	OnEvent func(Event)
 	// Speculation enables Spark-style progress-based speculative
 	// execution — the status-quo straggler mitigation the paper's
@@ -240,8 +242,15 @@ type Driver struct {
 	loc  *cluster.LocalityRegistry
 	opts Options
 
-	jobs     []*jobRun
+	// jobsByID holds every submitted job until Forget drops it: live jobs
+	// with their runtime graph, finished ones stripped to their statistics.
 	jobsByID map[dag.JobID]*jobRun
+	// live holds the unfinished jobs in no particular order (jobRun.liveIdx
+	// is each one's position), so backlog and locality scans never walk
+	// finished history.
+	live []*jobRun
+	// makespan is the latest finish time of any completed or aborted job.
+	makespan time.Duration
 
 	slotOwner map[cluster.SlotID]*attempt
 	waiters   map[cluster.SlotID][]*phaseRun
@@ -260,7 +269,6 @@ type Driver struct {
 	// unless observability is attached.
 	resAt map[cluster.SlotID]resInfo
 
-	unfinished        int
 	dispatchScheduled bool
 	// dispatchTimer is the pending coalesced-dispatch event; its storage
 	// is recycled through the engine's free list after each pass.
@@ -377,10 +385,28 @@ func (d *Driver) Submit(job *dag.Job) error {
 			job.ID, md, d.cl.MaxSlotSize())
 	}
 	jr := newJobRun(d, job)
-	d.jobs = append(d.jobs, jr)
+	jr.liveIdx = len(d.live)
+	d.live = append(d.live, jr)
 	d.jobsByID[job.ID] = jr
-	d.unfinished++
 	d.eng.At(job.Submit, jr.activate)
+	return nil
+}
+
+// Forget drops a finished job's residue (its statistics record) from the
+// driver; afterwards Result, Progress and Abort report the ID as unknown.
+// The driver never forgets on its own — offline callers read Results after
+// Run — so whoever owns the job store decides what outlives a job. It may
+// be called from the OnEvent handler of the job's terminal event. Forgetting
+// an unknown ID is a no-op; a job that is still live is refused.
+func (d *Driver) Forget(id dag.JobID) error {
+	jr, ok := d.jobsByID[id]
+	if !ok {
+		return nil
+	}
+	if !jr.finished {
+		return fmt.Errorf("driver: forget of unfinished job %d", id)
+	}
+	delete(d.jobsByID, id)
 	return nil
 }
 
@@ -394,13 +420,13 @@ func (d *Driver) Run() error {
 	if err := d.eng.Run(); err != nil {
 		return err
 	}
-	if d.unfinished > 0 {
+	if n := len(d.live); n > 0 {
 		if failed := d.cl.CountState(cluster.Failed); failed > 0 {
 			return fmt.Errorf("driver: %d of %d jobs unfinished with %d slots failed (node failures starved the workload)",
-				d.unfinished, len(d.jobs), failed)
+				n, len(d.jobsByID), failed)
 		}
 		return fmt.Errorf("driver: %d of %d jobs unfinished after event queue drained",
-			d.unfinished, len(d.jobs))
+			n, len(d.jobsByID))
 	}
 	// Pin the usage integrals at the drained clock so utilization reads
 	// include the interval since the last slot transition.
@@ -408,17 +434,19 @@ func (d *Driver) Run() error {
 	return nil
 }
 
-// Results returns per-job statistics sorted by job ID.
+// Results returns the statistics of every job not yet forgotten, sorted by
+// job ID.
 func (d *Driver) Results() []metrics.JobStats {
-	out := make([]metrics.JobStats, 0, len(d.jobs))
-	for _, jr := range d.jobs {
+	out := make([]metrics.JobStats, 0, len(d.jobsByID))
+	for _, jr := range d.jobsByID { //maporder:ok sorted by unique job ID below
 		out = append(out, jr.stats)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
 	return out
 }
 
-// Result returns the statistics of one job.
+// Result returns the statistics of one job; ok is false for unknown (or
+// forgotten) IDs.
 func (d *Driver) Result(id dag.JobID) (metrics.JobStats, bool) {
 	jr, ok := d.jobsByID[id]
 	if !ok {
@@ -428,15 +456,7 @@ func (d *Driver) Result(id dag.JobID) (metrics.JobStats, bool) {
 }
 
 // Makespan returns the latest job finish time observed.
-func (d *Driver) Makespan() time.Duration {
-	var m time.Duration
-	for _, jr := range d.jobs {
-		if jr.finished && jr.stats.Finish > m {
-			m = jr.stats.Finish
-		}
-	}
-	return m
-}
+func (d *Driver) Makespan() time.Duration { return d.makespan }
 
 func (d *Driver) ssrConfig() core.Config {
 	if d.opts.Mode != ModeSSR {

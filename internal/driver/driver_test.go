@@ -491,12 +491,12 @@ func TestRunReportsUnfinished(t *testing.T) {
 	e := newEnv(t, 1, 1, Options{})
 	j := chain(t, 1, "j", 1, []dag.PhaseSpec{{Durations: durations(1)}})
 	e.mustSubmit(t, j)
-	if e.d.unfinished != 1 {
-		t.Fatalf("unfinished = %d, want 1 before run", e.d.unfinished)
+	if e.d.Unfinished() != 1 {
+		t.Fatalf("unfinished = %d, want 1 before run", e.d.Unfinished())
 	}
 	e.mustRun(t)
-	if e.d.unfinished != 0 {
-		t.Fatalf("unfinished = %d, want 0 after run", e.d.unfinished)
+	if e.d.Unfinished() != 0 {
+		t.Fatalf("unfinished = %d, want 0 after run", e.d.Unfinished())
 	}
 	if got := e.d.Makespan(); got != sec(1) {
 		t.Errorf("Makespan = %v, want 1s", got)

@@ -139,7 +139,7 @@ func (d *Driver) emitNode(t EventType, node, count int) {
 
 // emit delivers a lifecycle event to the OnEvent hook, stamping the current
 // virtual time. The hook runs synchronously inside the simulation event, so
-// handlers must not re-enter the driver.
+// handlers must not re-enter the driver beyond what Options.OnEvent allows.
 func (d *Driver) emit(ev Event) {
 	if d.opts.OnEvent == nil {
 		return
@@ -213,7 +213,9 @@ type PhaseProgress struct {
 }
 
 // Progress reports a job's current execution state; ok is false for unknown
-// job IDs.
+// (or forgotten) job IDs. A finished job reports no phases, except from
+// inside its own EventJobFail, where the phases the abort cut short are
+// still listed.
 func (d *Driver) Progress(id dag.JobID) (Progress, bool) {
 	jr, ok := d.jobsByID[id]
 	if !ok {
@@ -249,9 +251,9 @@ func (d *Driver) Progress(id dag.JobID) (Progress, bool) {
 
 // Abort terminates an in-flight job: all live attempts are killed, its
 // reservations canceled, and the job marked Failed with its finish time set
-// to the current virtual time. Aborting a finished job is a no-op. The
-// online service uses it to cut short in-flight jobs when a drain deadline
-// passes.
+// to the current virtual time. Aborting a finished job is a no-op; a
+// forgotten one is unknown. The online service uses it to cut short
+// in-flight jobs when a drain deadline passes.
 func (d *Driver) Abort(id dag.JobID) error {
 	jr, ok := d.jobsByID[id]
 	if !ok {

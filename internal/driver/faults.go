@@ -73,7 +73,7 @@ func (d *Driver) Faults() metrics.FaultCounters { return d.fc }
 // Unfinished returns the number of submitted jobs that have neither
 // completed nor been aborted. Fault injectors use it to stop rescheduling
 // themselves once the workload has drained.
-func (d *Driver) Unfinished() int { return d.unfinished }
+func (d *Driver) Unfinished() int { return len(d.live) }
 
 // FailNode takes a node down at the current virtual time:
 //
@@ -165,12 +165,9 @@ func (d *Driver) FailNode(node int) error {
 // structures of every in-flight phase, so recovered slots are not mistaken
 // for data-local placements after their cached outputs were lost.
 func (d *Driver) evictSlotPrefs(slot cluster.SlotID) {
-	for _, jr := range d.jobs {
-		if jr.finished {
-			continue
-		}
+	for _, jr := range d.live {
 		for _, pr := range jr.phases {
-			if pr == nil || pr.tracker.Done() {
+			if pr == nil {
 				continue
 			}
 			if pr.narrow {
@@ -267,11 +264,9 @@ func (d *Driver) requeueTask(pr *phaseRun, idx int) {
 // attempts are killed, reservations canceled, and the job marked Failed with
 // its finish time set to now.
 func (d *Driver) abortJob(jr *jobRun) {
-	jr.finished = true
+	d.finish(jr)
 	jr.stats.Failed = true
-	jr.stats.Finish = d.eng.Now()
 	d.fc.JobsFailed++
-	d.unfinished--
 	for _, pr := range jr.phases {
 		if pr == nil {
 			continue
@@ -329,6 +324,7 @@ func (d *Driver) abortJob(jr *jobRun) {
 	d.returnLoans(jr, -1, -1)
 	d.loc.ForgetJob(jr.job.ID)
 	d.emitJob(EventJobFail, jr)
+	jr.retire()
 	d.recordTimeline(jr)
 	d.scheduleDispatch()
 }

@@ -14,16 +14,22 @@ import (
 	"ssr/internal/sim"
 )
 
-// jobRun is the runtime state of one submitted job (DAGScheduler role).
+// jobRun is the runtime state of one submitted job (DAGScheduler role). A
+// finished job keeps the struct — its statistics and identity — and nothing
+// it points to besides the dag.Job: see retire.
 type jobRun struct {
 	d   *Driver
 	job *dag.Job
 
-	phases     []*phaseRun // indexed by phase ID; nil until the phase is ready
+	// phases is indexed by phase ID; an entry is non-nil exactly while the
+	// phase's task set is schedulable (barrier upstream cleared, its own
+	// not yet).
+	phases     []*phaseRun
 	depsLeft   []int
 	phasesDone int
 	running    int // busy slots currently held (originals + copies)
 	finished   bool
+	liveIdx    int // position in Driver.live while unfinished
 	// borrowed counts idle cross-shard loans held by the job (granted by
 	// Options.Lender, not yet consumed by a task or returned).
 	borrowed int
@@ -81,6 +87,31 @@ func (jr *jobRun) activate() {
 		jr.d.submitPhase(jr, root)
 	}
 	jr.d.scheduleDispatch()
+}
+
+// finish marks the job terminal at the current virtual time and takes it
+// out of the live set.
+func (d *Driver) finish(jr *jobRun) {
+	jr.finished = true
+	jr.stats.Finish = d.eng.Now()
+	if jr.stats.Finish > d.makespan {
+		d.makespan = jr.stats.Finish
+	}
+	last := len(d.live) - 1
+	moved := d.live[last]
+	d.live[jr.liveIdx] = moved
+	moved.liveIdx = jr.liveIdx
+	d.live[last] = nil
+	d.live = d.live[:last]
+}
+
+// retire strips a finished job to its fixed-size residue — the jobRun
+// struct with its statistics — once the terminal event has been delivered
+// (an aborted job's in-flight phases are still readable through Progress
+// from inside that event). Late timers and loan resolutions that still
+// hold the jobRun find finished set and nothing to act on.
+func (jr *jobRun) retire() {
+	jr.phases, jr.depsLeft, jr.loanGrants = nil, nil, nil
 }
 
 // taskState tracks one task's attempts within a phase.

@@ -1,0 +1,346 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"ssr/internal/dag"
+	"ssr/internal/driver"
+	"ssr/internal/stats"
+)
+
+// onlineMixSpec is job i of the 80/20 online mix the repository benchmark
+// drives: four in five are one-phase background jobs, the fifth a three-phase
+// (4 -> 6 -> 2) foreground job, task durations Pareto(1.6) around 8 virtual s.
+func onlineMixSpec(i int) JobSpec {
+	rng := stats.SubStream(606, "retire-test-mix", i)
+	dist := stats.Pareto{Alpha: 1.6, Xm: 3}
+	draw := func(n int) []float64 {
+		out := make([]float64, n)
+		for k := range out {
+			out[k] = dist.Sample(rng) * 1000
+			if out[k] > 120000 {
+				out[k] = 120000
+			}
+		}
+		return out
+	}
+	if i%5 == 4 {
+		return JobSpec{Name: fmt.Sprintf("fg-%d", i), Priority: 10, Phases: []PhaseSpec{
+			{DurationsMs: draw(4)},
+			{DurationsMs: draw(6), Deps: []int{0}},
+			{DurationsMs: draw(2), Deps: []int{1}},
+		}}
+	}
+	return JobSpec{Name: fmt.Sprintf("bg-%d", i), Priority: 1, Class: "background",
+		Phases: []PhaseSpec{{DurationsMs: draw(4)}}}
+}
+
+// TestRetentionGuard is the soak in miniature: what the service still holds
+// per job once 20k jobs have come and gone must be the fixed-size residue (a
+// jobEntry with its final status, a map slot, an order slot — about 0.3 KB),
+// not the jobs' runtime graphs (1.8 KB before finished work was retired).
+func TestRetentionGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under the race detector measures the detector")
+	}
+	const warm, jobs = 5000, 20000
+	svc := newTestService(t, Config{
+		Nodes:           64,
+		SlotsPerNode:    4,
+		Dilation:        1e6,
+		BaselineWorkers: -1,
+		Driver:          ssrOptions(),
+	})
+	specs := make([]JobSpec, 1024)
+	for i := range specs {
+		specs[i] = onlineMixSpec(i)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	submit := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if _, err := svc.Submit(specs[i%len(specs)]); err != nil {
+				t.Fatalf("Submit %d: %v", i, err)
+			}
+		}
+	}
+	// The bus and audit rings, engine free lists and the job table's first
+	// doublings fill during the warm-up and stay out of the measurement.
+	submit(0, warm)
+	waitTerminal(t, svc, warm)
+	before := heap()
+	submit(warm, jobs)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if aborted, err := svc.Drain(ctx); err != nil || aborted != 0 {
+		t.Fatalf("Drain: aborted %d, err %v", aborted, err)
+	}
+	perJobKB := (float64(heap()) - float64(before)) / 1024 / jobs
+	t.Logf("retained %.3f KB per finished job", perJobKB)
+	if perJobKB >= 0.6 {
+		t.Errorf("service retains %.3f KB per finished job, want < 0.6", perJobKB)
+	}
+	var known int
+	if err := svc.Call(func(d *driver.Driver) { known = len(d.Results()) }); err != nil {
+		t.Fatal(err)
+	}
+	if known != 0 {
+		t.Errorf("driver still holds %d finished jobs the service retired", known)
+	}
+	if st, found, err := svc.Status(warm + 1); err != nil || !found || st.State != StateCompleted || st.TasksRun == 0 {
+		t.Errorf("a retired job no longer answers: %+v found=%v err=%v", st, found, err)
+	}
+}
+
+// expectedStatus rebuilds a job's wire status the way the service did before
+// terminal jobs were retired — from the driver's own view of the job, read
+// inside the terminal event, while the driver still has all of it.
+func expectedStatus(d *driver.Driver, id dag.JobID, state string) JobStatus {
+	p, _ := d.Progress(id)
+	js, _ := d.Result(id)
+	want := JobStatus{
+		ID:             int64(id),
+		Name:           js.Job.Name,
+		State:          state,
+		Tenant:         js.Job.Tenant,
+		Priority:       int(js.Job.Priority),
+		SubmittedMs:    msOf(js.Job.Submit),
+		NumPhases:      js.Job.NumPhases(),
+		PhasesDone:     p.PhasesDone,
+		RunningSlots:   p.RunningSlots,
+		ReservedIdle:   p.ReservedIdle,
+		TasksRun:       js.TasksRun,
+		CopiesLaunched: js.CopiesLaunched,
+		CopiesWon:      js.CopiesWon,
+		BorrowedSlots:  js.BorrowedSlots,
+		RemoteTasks:    js.RemoteTasks,
+		FinishedMs:     msOf(js.Finish),
+		JCTMs:          msOf(js.JCT()),
+	}
+	for _, ph := range p.Phases {
+		ps := PhaseStatus{ID: ph.ID, TasksDone: ph.TasksDone, Tasks: ph.Tasks, Running: ph.Running, DeadlineMs: -1}
+		if ph.DeadlineAt >= 0 {
+			ps.DeadlineMs = msOf(ph.DeadlineAt)
+		}
+		want.Phases = append(want.Phases, ps)
+	}
+	return want
+}
+
+// TestTerminalStatusGolden: the HTTP body of a completed job and of a
+// drain-aborted job (which lists the phases the abort cut short) is byte for
+// byte what the driver's pre-retirement view renders to, and terminal reads
+// need no shard loop: they still answer after Close has stopped the runners.
+func TestTerminalStatusGolden(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		drv  *driver.Driver
+		want = map[int64][]byte{}
+	)
+	opts := ssrOptions()
+	opts.OnEvent = func(ev driver.Event) {
+		var state string
+		switch ev.Type {
+		case driver.EventJobDone:
+			state = StateCompleted
+		case driver.EventJobFail:
+			state = StateFailed
+		default:
+			return
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(expectedStatus(drv, ev.Job, state)); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		want[int64(ev.Job)] = buf.Bytes()
+		mu.Unlock()
+	}
+	svc := newTestService(t, Config{Nodes: 2, SlotsPerNode: 2, Dilation: 200, Driver: opts})
+	if err := svc.Call(func(d *driver.Driver) { drv = d }); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	body := func(id int64) []byte {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET job %d: %d %v", id, resp.StatusCode, err)
+		}
+		return b
+	}
+
+	done, err := svc.Submit(tinySpec("done", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, svc, 1)
+	// 60 virtual s per task = 300 ms of wall clock: still in its first phase
+	// when the drain's grace runs out.
+	cut, err := svc.Submit(JobSpec{Name: "cut", Priority: 5, Phases: []PhaseSpec{
+		{DurationsMs: []float64{1000, 60000, 60000}},
+		{DurationsMs: []float64{1000}, Deps: []int{0}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, _, err := svc.Status(cut.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Phases) == 1 && st.Phases[0].TasksDone == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d never got a task done: %+v", cut.ID, st)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if aborted, err := svc.Drain(ctx); err != nil || aborted != 1 {
+		t.Fatalf("Drain: aborted %d, err %v", aborted, err)
+	}
+
+	check := func(when string) {
+		t.Helper()
+		for _, id := range []int64{done.ID, cut.ID} {
+			mu.Lock()
+			w := want[id]
+			mu.Unlock()
+			if got := body(id); !bytes.Equal(got, w) {
+				t.Errorf("%s: job %d body\n%s\nwant the driver's pre-retirement view\n%s", when, id, got, w)
+			}
+		}
+	}
+	check("retired")
+	var failed JobStatus
+	if err := json.Unmarshal(want[cut.ID], &failed); err != nil {
+		t.Fatal(err)
+	}
+	if failed.State != StateFailed || len(failed.Phases) != 1 || failed.Phases[0].Tasks != 3 || failed.Phases[0].Running != 0 {
+		t.Errorf("aborted job's final status lost its phase list: %+v", failed)
+	}
+
+	svc.Close()
+	check("after Close")
+	page, err := svc.ListPage(10, 0, "")
+	if err != nil || len(page.Jobs) != 2 || page.Jobs[1].State != StateFailed {
+		t.Errorf("ListPage after Close = %+v, %v", page, err)
+	}
+}
+
+// TestListPageDuringSubmitHandoff is the regression test for the daemon
+// crash the benchmark found: a page that reaches a job whose Submit is still
+// between publishing its entry and handing the DAG to the shard used to
+// dereference a nil job on the shard loop. Such a job reads as pending.
+func TestListPageDuringSubmitHandoff(t *testing.T) {
+	svc := newTestService(t, Config{
+		Nodes:           8,
+		SlotsPerNode:    4,
+		Dilation:        1e6,
+		BaselineWorkers: -1,
+		Driver:          driver.Options{Mode: driver.ModeNone},
+	})
+	const jobs = 3000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	newest := make(chan int64, 1)
+	go func() {
+		defer wg.Done()
+		defer close(newest)
+		for i := 0; i < jobs; i++ {
+			st, err := svc.Submit(tinySpec("h", 1))
+			if err != nil {
+				t.Errorf("Submit %d: %v", i, err)
+				return
+			}
+			select {
+			case newest <- st.ID:
+			default:
+			}
+		}
+	}()
+	for id := range newest {
+		page, err := svc.ListPage(100, id-50, "")
+		if err != nil {
+			t.Fatalf("ListPage: %v", err)
+		}
+		last := id - 50
+		for _, st := range page.Jobs {
+			if st.ID <= last || st.ID <= 0 || st.Name != "h" || st.NumPhases != 2 ||
+				(st.State != StatePending && st.State != StateRunning && st.State != StateCompleted) {
+				t.Fatalf("page after %d holds %+v", id-50, st)
+			}
+			last = st.ID
+		}
+		if _, err := svc.List(); err != nil {
+			t.Fatalf("List: %v", err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestListPageCursor checks the binary-searched cursor against the
+// definition (first job with an ID above `after`) at every boundary.
+func TestListPageCursor(t *testing.T) {
+	svc := newTestService(t, Config{Nodes: 1, SlotsPerNode: 1, Dilation: 1, Driver: driver.Options{Mode: driver.ModeNone}})
+	const jobs = 7
+	for i := 0; i < jobs; i++ {
+		if _, err := svc.Submit(tinySpec("c", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for after := int64(-1); after <= jobs+1; after++ {
+		for limit := 0; limit <= jobs+1; limit++ {
+			page, err := svc.ListPage(limit, after, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := after + 1
+			if first < 1 {
+				first = 1
+			}
+			n := jobs - int(first) + 1
+			if n < 0 {
+				n = 0
+			}
+			next := int64(0)
+			if limit > 0 && n > limit {
+				n = limit
+				next = first + int64(n) - 1
+			}
+			if len(page.Jobs) != n || page.NextAfter != next || page.Jobs == nil {
+				t.Fatalf("ListPage(%d, %d) = %d jobs next %d, want %d next %d", limit, after, len(page.Jobs), page.NextAfter, n, next)
+			}
+			for k, st := range page.Jobs {
+				if st.ID != first+int64(k) {
+					t.Fatalf("ListPage(%d, %d)[%d].ID = %d", limit, after, k, st.ID)
+				}
+			}
+		}
+	}
+}

@@ -134,15 +134,20 @@ type svcShard struct {
 	demand   int // peak slot demand of pending jobs; guarded by Service.mu
 }
 
-// jobEntry is the service-side record of one admitted job. All fields are
-// guarded by Service.mu; job is set once the home shard accepts the
-// submission and is immutable afterwards.
+// jobEntry is the service-side record of one admitted job, and all that
+// outlives the job: a fixed-size value whatever the job's shape. All fields
+// are guarded by Service.mu.
 type jobEntry struct {
+	// st is the job's wire status. Its identity (ID, Name, Priority,
+	// Tenant, Shard, NumPhases) and State are current from admission on and
+	// SubmittedMs from the hand-off; the progress fields are written once,
+	// by the job's terminal event, which makes st the final status.
+	st JobStatus
+	// job is the DAG while the job lives on its home shard's driver: set
+	// by Submit's hand-off, dropped by the terminal event. While it is nil
+	// st alone answers reads (pending before, final after).
 	job    *dag.Job
-	state  string
-	shard  int
 	demand int
-	tenant string
 	tasks  int
 }
 
@@ -275,9 +280,16 @@ func New(cfg Config) (*Service, error) {
 		dopts.Trace = s.rec
 		chained := cfg.Driver.OnEvent
 		dopts.OnEvent = func(ev driver.Event) {
-			s.onDriverEvent(i, ev)
+			retired := s.onDriverEvent(i, ev)
 			if chained != nil {
 				chained(ev)
+			}
+			if retired {
+				// The entry now holds everything the service will ever
+				// serve about the job, so the driver's residue goes too —
+				// last, so a chained handler still finds the job's Result.
+				// Forget refuses only live jobs; this one just ended.
+				_ = sh.drv.Forget(ev.Job)
 			}
 		}
 		if s.broker != nil {
@@ -442,13 +454,14 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	if spec.Tenant == "" {
 		spec.Tenant = tenant.Default
 	}
-	// Shape-only build: the router needs the job's parallelism and demand
-	// before a home shard (and so a submission timestamp) exists.
-	probe, err := spec.build(1, 0)
+	// Built once, off the loop, for its shape: the router needs the job's
+	// parallelism and demand before a home shard (and so an ID's owner and a
+	// submission timestamp) exists. The hand-off stamps both.
+	job, err := spec.build(0, 0)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	demand, tasks := probe.MaxParallelism(), probe.TotalTasks()
+	demand, tasks := job.MaxParallelism(), job.TotalTasks()
 
 	s.mu.Lock()
 	if s.draining {
@@ -469,10 +482,10 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	idx := s.cfg.Router.Pick(shard.JobInfo{
 		ID:             id,
 		Name:           spec.Name,
-		Priority:       dag.Priority(spec.Priority),
+		Priority:       job.Priority,
 		MaxParallelism: demand,
 		TotalTasks:     tasks,
-		MaxDemand:      probe.MaxDemand(),
+		MaxDemand:      job.MaxDemand(),
 		Tenant:         spec.Tenant,
 	}, s.loadsLocked())
 	if idx < 0 || idx >= len(s.shards) {
@@ -481,15 +494,28 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("service: router %s picked out-of-range shard %d", s.cfg.Router.Name(), idx)
 	}
 	sh := s.shards[idx]
-	entry := &jobEntry{state: StatePending, shard: idx, demand: demand,
-		tenant: spec.Tenant, tasks: tasks}
+	entry := &jobEntry{
+		st: JobStatus{
+			ID:        int64(id),
+			Name:      spec.Name,
+			State:     StatePending,
+			Priority:  spec.Priority,
+			NumPhases: job.NumPhases(),
+			Shard:     idx,
+			Tenant:    spec.Tenant,
+		},
+		demand: demand,
+		tasks:  tasks,
+	}
 	s.jobs[id] = entry
+	// IDs are assigned and appended under this one lock hold, so order is
+	// ascending by construction; ListPage and the rollback below search it.
 	s.order = append(s.order, id)
 	s.submitted++
 	s.outstanding++
 	sh.assigned++
 	sh.pending++
-	sh.demand += entry.demand
+	sh.demand += demand
 	s.mu.Unlock()
 
 	var (
@@ -497,18 +523,14 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		serr   error
 	)
 	err = sh.rt.Call(func() {
-		job, err := spec.build(id, sh.eng.Now())
-		if err != nil {
-			serr = err
-			return
-		}
-		if err := sh.drv.Submit(job); err != nil {
-			serr = err
+		job.ID, job.Submit = id, sh.eng.Now()
+		if serr = sh.drv.Submit(job); serr != nil {
 			return
 		}
 		s.mu.Lock()
 		entry.job = job
-		status = s.statusOfLocked(sh, id, entry)
+		entry.st.SubmittedMs = msOf(job.Submit)
+		status = s.statusOfLocked(sh, entry)
 		s.mu.Unlock()
 	})
 	if err == nil && serr == nil {
@@ -521,18 +543,15 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	// The home shard refused (or its loop is gone): roll the admission back.
 	s.mu.Lock()
 	delete(s.jobs, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if i := s.orderIndexLocked(int64(id) - 1); i < len(s.order) && s.order[i] == id {
+		s.order = append(s.order[:i], s.order[i+1:]...)
 	}
 	s.submitted--
 	s.outstanding--
 	sh.assigned--
 	sh.pending--
-	sh.demand -= entry.demand
-	s.tenants.Release(entry.tenant, entry.demand, entry.tasks)
+	sh.demand -= demand
+	s.tenants.Release(spec.Tenant, demand, tasks)
 	s.mu.Unlock()
 	if serr != nil {
 		return JobStatus{}, serr
@@ -540,12 +559,19 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	return JobStatus{}, err
 }
 
+// orderIndexLocked returns the position in s.order of the first job with an
+// ID above after (len(s.order) when there is none). Callers hold s.mu.
+func (s *Service) orderIndexLocked(after int64) int {
+	return sort.Search(len(s.order), func(i int) bool { return int64(s.order[i]) > after })
+}
+
 // onDriverEvent bridges one shard's driver lifecycle events onto the shared
 // bus and keeps the service's job-state machine in step. It runs on the
 // originating shard's loop goroutine, inside the simulation event that
 // caused it; with multiple shards the bus interleaves their streams, so
-// wire timestamps are monotone per shard, not globally.
-func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) {
+// wire timestamps are monotone per shard, not globally. It reports whether
+// the event was terminal for a job of this service, i.e. the job was retired.
+func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) bool {
 	s.bus.Publish(Event{
 		TimeMs:  msOf(ev.Time),
 		Type:    ev.Type.String(),
@@ -565,66 +591,62 @@ func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) {
 		// Only job-lifecycle events touch the service's state machine.
 		// Attempt and reservation events — the bulk of the stream — skip
 		// s.mu entirely so shard loops do not contend with API readers.
-		return
+		return false
 	}
+	sh := s.shards[shardIdx]
 	s.mu.Lock()
 	entry, ok := s.jobs[ev.Job]
-	if !ok || entry.shard != shardIdx {
+	if !ok || entry.st.Shard != shardIdx {
 		s.mu.Unlock()
-		return // static-partition sentinel or pre-service job
+		return false // static-partition sentinel or pre-service job
 	}
-	var baseJob *dag.Job
-	var baseNodes int
-	switch ev.Type {
-	case driver.EventJobStart:
-		entry.state = StateRunning
+	if ev.Type == driver.EventJobStart {
+		entry.st.State = StateRunning
 		s.running++
-	case driver.EventJobDone:
-		if entry.state == StateRunning {
-			s.running--
-		}
-		entry.state = StateCompleted
-		s.completed++
-		s.outstanding--
-		s.shards[shardIdx].pending--
-		s.shards[shardIdx].demand -= entry.demand
-		s.tenants.Complete(entry.tenant, entry.demand, entry.tasks)
-		baseJob = entry.job
-		baseNodes = s.shards[shardIdx].nodes
-	case driver.EventJobFail:
-		if entry.state == StateRunning {
-			s.running--
-		}
-		entry.state = StateFailed
-		s.failed++
-		s.outstanding--
-		s.shards[shardIdx].pending--
-		s.shards[shardIdx].demand -= entry.demand
-		s.tenants.Release(entry.tenant, entry.demand, entry.tasks)
+		s.mu.Unlock()
+		return false
 	}
+	if entry.st.State == StateRunning {
+		s.running--
+	}
+	s.outstanding--
+	sh.pending--
+	sh.demand -= entry.demand
+	if ev.Type == driver.EventJobDone {
+		entry.st.State = StateCompleted
+		s.completed++
+		s.tenants.Complete(entry.st.Tenant, entry.demand, entry.tasks)
+	} else {
+		entry.st.State = StateFailed
+		s.failed++
+		s.tenants.Release(entry.st.Tenant, entry.demand, entry.tasks)
+	}
+	// Retire the job in place: the driver's last view of it becomes the
+	// entry's final status and the DAG leaves the job table.
+	entry.st = s.statusOfLocked(sh, entry)
+	job := entry.job
+	entry.job = nil
 	s.mu.Unlock()
-	if baseJob != nil {
+	if ev.Type == driver.EventJobDone && s.baselineCh != nil {
 		// Slowdown baselines run alone on a cluster shaped like the home
 		// shard: that is the isolation the paper's metric normalizes by.
-		if st, found := s.shards[shardIdx].drv.Result(ev.Job); found {
-			s.requestBaseline(baseJob, baseNodes, st.JCT())
+		if js, found := sh.drv.Result(ev.Job); found {
+			s.requestBaseline(job, sh.nodes, js.JCT())
 		}
 	}
+	return true
 }
 
-// statusOfLocked builds the wire view of one job. Callers hold s.mu and run
-// on the job's home-shard loop goroutine (sh is the home shard).
-func (s *Service) statusOfLocked(sh *svcShard, id dag.JobID, entry *jobEntry) JobStatus {
-	st := JobStatus{
-		ID:          int64(id),
-		Name:        entry.job.Name,
-		State:       entry.state,
-		Shard:       entry.shard,
-		Tenant:      entry.tenant,
-		Priority:    int(entry.job.Priority),
-		SubmittedMs: msOf(entry.job.Submit),
-		NumPhases:   entry.job.NumPhases(),
+// statusOfLocked builds the wire view of one job: the entry's own status,
+// overlaid with the driver's view of its progress while the job is live.
+// Callers hold s.mu and, when entry.job is set, run on the loop goroutine of
+// the job's home shard sh.
+func (s *Service) statusOfLocked(sh *svcShard, entry *jobEntry) JobStatus {
+	st := entry.st
+	if entry.job == nil {
+		return st
 	}
+	id := entry.job.ID
 	if p, ok := sh.drv.Progress(id); ok {
 		st.PhasesDone = p.PhasesDone
 		st.RunningSlots = p.RunningSlots
@@ -649,7 +671,7 @@ func (s *Service) statusOfLocked(sh *svcShard, id dag.JobID, entry *jobEntry) Jo
 		st.CopiesWon = js.CopiesWon
 		st.BorrowedSlots = js.BorrowedSlots
 		st.RemoteTasks = js.RemoteTasks
-		if TerminalState(entry.state) {
+		if TerminalState(st.State) {
 			st.FinishedMs = msOf(js.Finish)
 			st.JCTMs = msOf(js.JCT())
 		}
@@ -657,19 +679,27 @@ func (s *Service) statusOfLocked(sh *svcShard, id dag.JobID, entry *jobEntry) Jo
 	return st
 }
 
-// Status returns one job's wire view; found is false for unknown IDs.
+// Status returns one job's wire view; found is false for unknown IDs. A
+// terminal job (or one whose Submit is still in its hand-off) is answered
+// from the job table alone; only a live job costs a call onto its shard.
 func (s *Service) Status(id int64) (JobStatus, bool, error) {
 	s.mu.Lock()
 	entry, ok := s.jobs[dag.JobID(id)]
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		return JobStatus{}, false, nil
 	}
-	sh := s.shards[entry.shard]
+	if entry.job == nil {
+		st := entry.st
+		s.mu.Unlock()
+		return st, true, nil
+	}
+	sh := s.shards[entry.st.Shard]
+	s.mu.Unlock()
 	var st JobStatus
 	err := sh.rt.Call(func() {
 		s.mu.Lock()
-		st = s.statusOfLocked(sh, dag.JobID(id), entry)
+		st = s.statusOfLocked(sh, entry)
 		s.mu.Unlock()
 	})
 	return st, true, err
@@ -677,34 +707,8 @@ func (s *Service) Status(id int64) (JobStatus, bool, error) {
 
 // List returns every admitted job in submission order.
 func (s *Service) List() ([]JobStatus, error) {
-	s.mu.Lock()
-	ids := append([]dag.JobID(nil), s.order...)
-	entries := make([]*jobEntry, len(ids))
-	perShard := make([][]int, len(s.shards))
-	for i, id := range ids {
-		e := s.jobs[id]
-		entries[i] = e
-		perShard[e.shard] = append(perShard[e.shard], i)
-	}
-	s.mu.Unlock()
-	out := make([]JobStatus, len(ids))
-	for k, members := range perShard {
-		if len(members) == 0 {
-			continue
-		}
-		sh := s.shards[k]
-		err := sh.rt.Call(func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			for _, i := range members {
-				out[i] = s.statusOfLocked(sh, ids[i], entries[i])
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	page, err := s.ListPage(0, 0, "")
+	return page.Jobs, err
 }
 
 // ListPage returns admitted jobs in submission order, starting after the
@@ -712,49 +716,50 @@ func (s *Service) List() ([]JobStatus, error) {
 // and at most limit entries (0 = no limit). NextAfter is the last
 // returned job's ID when more matching jobs remain, 0 otherwise.
 func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList, error) {
+	// liveRef is a page slot whose job is live: its status has to be
+	// refreshed on the job's home-shard loop.
+	type liveRef struct {
+		slot  int
+		entry *jobEntry
+	}
 	s.mu.Lock()
-	var ids []dag.JobID
-	var entries []*jobEntry
-	more := false
-	for _, id := range s.order {
-		if int64(id) <= after {
-			continue
-		}
+	start := s.orderIndexLocked(after)
+	size := len(s.order) - start
+	if limit > 0 && limit < size {
+		size = limit
+	}
+	out := JobList{Jobs: make([]JobStatus, 0, size)}
+	perShard := make([][]liveRef, len(s.shards))
+	for _, id := range s.order[start:] {
 		e := s.jobs[id]
-		if tenantFilter != "" && e.tenant != tenantFilter {
+		if tenantFilter != "" && e.st.Tenant != tenantFilter {
 			continue
 		}
-		if limit > 0 && len(ids) == limit {
-			more = true
+		if limit > 0 && len(out.Jobs) == limit {
+			out.NextAfter = out.Jobs[limit-1].ID
 			break
 		}
-		ids = append(ids, id)
-		entries = append(entries, e)
-	}
-	perShard := make([][]int, len(s.shards))
-	for i, e := range entries {
-		perShard[e.shard] = append(perShard[e.shard], i)
+		if e.job != nil {
+			perShard[e.st.Shard] = append(perShard[e.st.Shard], liveRef{len(out.Jobs), e})
+		}
+		out.Jobs = append(out.Jobs, e.st)
 	}
 	s.mu.Unlock()
-	out := JobList{Jobs: make([]JobStatus, len(ids))}
-	for k, members := range perShard {
-		if len(members) == 0 {
+	for k, refs := range perShard {
+		if len(refs) == 0 {
 			continue
 		}
 		sh := s.shards[k]
 		err := sh.rt.Call(func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			for _, i := range members {
-				out.Jobs[i] = s.statusOfLocked(sh, ids[i], entries[i])
+			for _, ref := range refs {
+				out.Jobs[ref.slot] = s.statusOfLocked(sh, ref.entry)
 			}
 		})
 		if err != nil {
 			return JobList{}, err
 		}
-	}
-	if more && len(ids) > 0 {
-		out.NextAfter = int64(ids[len(ids)-1])
 	}
 	return out, nil
 }
@@ -1065,8 +1070,8 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 			s.mu.Lock()
 			victims := make([][]dag.JobID, len(s.shards))
 			for _, id := range s.order {
-				if entry := s.jobs[id]; !TerminalState(entry.state) {
-					victims[entry.shard] = append(victims[entry.shard], id)
+				if st := &s.jobs[id].st; !TerminalState(st.State) {
+					victims[st.Shard] = append(victims[st.Shard], id)
 				}
 			}
 			s.mu.Unlock()
