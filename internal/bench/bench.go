@@ -39,10 +39,10 @@ type Scenario struct {
 
 // Result is the measurement of one scenario.
 type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Name        string `json:"name"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
 	// Decisions is the number of scheduler decisions one op makes.
 	Decisions uint64 `json:"decisions"`
 	// NsPerDecision and DecisionsPerSec derive from NsPerOp/Decisions;

@@ -193,7 +193,7 @@ type budgetStub struct{ budget int }
 func (s budgetStub) ObserveTask(string, string, time.Duration) (estimate.Adaptation, bool) {
 	return estimate.Adaptation{}, false
 }
-func (s budgetStub) ObservePhase(string, string, int)            {}
+func (s budgetStub) ObservePhase(string, string, int)             {}
 func (s budgetStub) ObserveOutcome(string, string, float64, bool) {}
 func (s budgetStub) Knobs(string, string, float64) (estimate.Knobs, bool) {
 	return estimate.Knobs{}, false

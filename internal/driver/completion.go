@@ -80,9 +80,12 @@ func (d *Driver) onFinish(att *attempt) {
 	task.orig = nil
 	task.dup = nil
 
-	// The task's output now lives on the winner's slot.
-	d.loc.Record(cluster.PhaseKey{Job: jr.job.ID, Phase: pr.phase.ID},
-		att.taskIdx, pr.phase.Parallelism(), att.slot)
+	// The task's output now lives on the winner's slot. Only a downstream
+	// phase ever looks a placement up, so a final phase records nothing.
+	if !jr.job.IsFinal(pr.phase.ID) {
+		d.loc.Record(cluster.PhaseKey{Job: jr.job.ID, Phase: pr.phase.ID},
+			att.taskIdx, pr.phase.Parallelism(), att.slot)
+	}
 
 	// First completion of the phase estimates t_m and arms the
 	// reservation deadline (Sec. IV-B).

@@ -247,11 +247,12 @@ func (d *Driver) notifyWaiters(slot cluster.SlotID) {
 	for i := len(kept); i < len(ws); i++ {
 		ws[i] = nil
 	}
+	// An emptied list stays in the map for its capacity: the next phase
+	// preferring this slot appends into it instead of growing one from nil.
+	d.waiters[slot] = kept
 	if len(kept) == 0 {
-		delete(d.waiters, slot)
 		return
 	}
-	d.waiters[slot] = kept
 
 	best := -1
 	for i := range kept {

@@ -274,10 +274,11 @@ type Driver struct {
 	// is recycled through the engine's free list after each pass.
 	dispatchTimer *sim.Timer
 
-	// onFinishArg, dispatchTick, expireDeadlineArg and openLocalityArg
-	// are the long-lived callbacks behind sim.Engine.AtArg: created once
-	// here so the per-attempt, per-dispatch and per-phase schedule sites
-	// allocate no closure.
+	// activateArg, onFinishArg, dispatchTick, expireDeadlineArg and
+	// openLocalityArg are the long-lived callbacks behind
+	// sim.Engine.AtArg: created once here so the per-job, per-attempt,
+	// per-dispatch and per-phase schedule sites allocate no closure.
+	activateArg       func(any)
 	onFinishArg       func(any)
 	dispatchTick      func(any)
 	expireDeadlineArg func(any)
@@ -315,6 +316,7 @@ func New(eng *sim.Engine, cl *cluster.Cluster, opts Options) (*Driver, error) {
 		waiters:     make(map[cluster.SlotID][]*phaseRun),
 		lastReserve: make(map[cluster.SlotID]sim.Time),
 	}
+	d.activateArg = func(a any) { a.(*jobRun).activate() }
 	d.onFinishArg = func(a any) { d.onFinish(a.(*attempt)) }
 	d.expireDeadlineArg = func(a any) { d.expireDeadline(a.(*phaseRun)) }
 	d.openLocalityArg = func(a any) { d.openLocality(a.(*phaseRun)) }
@@ -388,7 +390,7 @@ func (d *Driver) Submit(job *dag.Job) error {
 	jr.liveIdx = len(d.live)
 	d.live = append(d.live, jr)
 	d.jobsByID[job.ID] = jr
-	d.eng.At(job.Submit, jr.activate)
+	d.eng.AtArg(job.Submit, d.activateArg, jr)
 	return nil
 }
 

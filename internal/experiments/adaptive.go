@@ -27,8 +27,8 @@ import (
 // from Pareto(postAlpha), while static SSR computes deadlines with
 // cfgAlpha throughout.
 type adaptiveScenario struct {
-	name               string
-	cfgAlpha           float64
+	name                string
+	cfgAlpha            float64
 	preAlpha, postAlpha float64
 }
 

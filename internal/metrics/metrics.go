@@ -135,56 +135,143 @@ type Point struct {
 	V int           // the value from T (inclusive) onward
 }
 
+// A series is stored as a chain of fixed-size blocks carved from shared
+// slabs, so recording allocates once per slabBlocks blocks instead of once
+// per job per doubling, and a series never outgrows and abandons storage. A
+// block is 7 points and two links, 128 B; a slab of 512 is eight whole heap
+// pages.
+const (
+	blockPoints = 7
+	slabBlocks  = 512
+)
+
+// block is one link of a series: the points at positions
+// [k*blockPoints, (k+1)*blockPoints) of the k-th block.
+type block struct {
+	pts        [blockPoints]Point
+	prev, next *block
+}
+
+// chain is one job's series: n points laid out in order over the blocks from
+// head on. tail is the block holding the newest point; a block emptied by a
+// collapse stays linked behind it and takes the next append.
+type chain struct {
+	head, tail *block
+	n          int
+}
+
+// at returns the point at position i, which must be one of the last two.
+func (c chain) at(i int) *Point {
+	b := c.tail
+	if i/blockPoints != (c.n-1)/blockPoints {
+		b = b.prev
+	}
+	return &b.pts[i%blockPoints]
+}
+
+// each calls f on the points in order until it returns false.
+func (c chain) each(f func(Point) bool) {
+	for b, left := c.head, c.n; left > 0; b, left = b.next, left-blockPoints {
+		for _, p := range b.pts[:min(left, blockPoints)] {
+			if !f(p) {
+				return
+			}
+		}
+	}
+}
+
 // Timeline records per-job running-slot counts as step functions,
 // reproducing the Fig. 5 / Fig. 13 views.
 type Timeline struct {
 	now    func() time.Duration
-	series map[dag.JobID][]Point
+	series map[dag.JobID]chain
+	slab   []block // blocks of the newest slab not yet handed out
 }
 
 // NewTimeline creates a timeline recorder on the given clock.
 func NewTimeline(now func() time.Duration) *Timeline {
-	return &Timeline{now: now, series: make(map[dag.JobID][]Point)}
+	return &Timeline{now: now, series: make(map[dag.JobID]chain)}
 }
 
 // Record notes that job's running-slot count changed to v at the current
 // virtual time. Consecutive equal values collapse; several changes at one
 // instant keep only the last.
 func (tl *Timeline) Record(job dag.JobID, v int) {
-	s := tl.series[job]
+	c := tl.series[job]
 	t := tl.now()
-	if n := len(s); n > 0 {
-		if s[n-1].V == v {
+	if c.n > 0 {
+		last := c.at(c.n - 1)
+		if last.V == v {
 			return
 		}
-		if s[n-1].T == t {
-			s[n-1].V = v
+		if last.T == t {
+			last.V = v
 			// Collapse with the preceding step if it matches now.
-			if n > 1 && s[n-2].V == v {
-				s = s[:n-1]
+			if c.n > 1 && c.at(c.n-2).V == v {
+				c.n--
+				if c.n%blockPoints == 0 {
+					c.tail = c.tail.prev
+				}
+				tl.series[job] = c
 			}
-			tl.series[job] = s
 			return
 		}
 	}
-	tl.series[job] = append(s, Point{T: t, V: v})
+	i := c.n % blockPoints
+	if i == 0 {
+		switch {
+		case c.tail == nil:
+			c.head = tl.newBlock(nil)
+			c.tail = c.head
+		case c.tail.next == nil:
+			c.tail = tl.newBlock(c.tail)
+		default:
+			c.tail = c.tail.next
+		}
+	}
+	c.tail.pts[i] = Point{T: t, V: v}
+	c.n++
+	tl.series[job] = c
+}
+
+// newBlock carves the next block off the current slab and links it behind
+// prev.
+func (tl *Timeline) newBlock(prev *block) *block {
+	if len(tl.slab) == 0 {
+		tl.slab = make([]block, slabBlocks)
+	}
+	b := &tl.slab[0]
+	tl.slab = tl.slab[1:]
+	if prev != nil {
+		b.prev, prev.next = prev, b
+	}
+	return b
 }
 
 // Series returns job's step function as a copy.
 func (tl *Timeline) Series(job dag.JobID) []Point {
-	return append([]Point(nil), tl.series[job]...)
+	c := tl.series[job]
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]Point, 0, c.n)
+	c.each(func(p Point) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
 }
 
 // At returns job's value at time t (0 before the first recorded point).
 func (tl *Timeline) At(job dag.JobID, t time.Duration) int {
-	s := tl.series[job]
 	v := 0
-	for _, p := range s {
+	tl.series[job].each(func(p Point) bool {
 		if p.T > t {
-			break
+			return false
 		}
 		v = p.V
-	}
+		return true
+	})
 	return v
 }
 
@@ -194,22 +281,22 @@ func (tl *Timeline) Integral(job dag.JobID, from, to time.Duration) time.Duratio
 	if to <= from {
 		return 0
 	}
-	s := tl.series[job]
 	var total time.Duration
 	cur := 0
 	last := from
-	for _, p := range s {
+	tl.series[job].each(func(p Point) bool {
 		if p.T <= from {
 			cur = p.V
-			continue
+			return true
 		}
 		if p.T >= to {
-			break
+			return false
 		}
 		total += time.Duration(cur) * (p.T - last)
 		cur = p.V
 		last = p.T
-	}
+		return true
+	})
 	total += time.Duration(cur) * (to - last)
 	return total
 }

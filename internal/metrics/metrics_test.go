@@ -2,8 +2,12 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ssr/internal/cluster"
 	"ssr/internal/dag"
@@ -315,5 +319,222 @@ func TestSlotUsageFinish(t *testing.T) {
 	u.Finish(200 * time.Second)
 	if got, want := u.BusyTime(), 20*time.Second; got != want {
 		t.Errorf("BusyTime after double Finish = %v, want %v", got, want)
+	}
+}
+
+// refTimeline is the slice-per-job implementation Timeline replaced, kept
+// verbatim as the oracle of the differential test below.
+type refTimeline struct {
+	now    func() time.Duration
+	series map[dag.JobID][]Point
+}
+
+func (tl *refTimeline) Record(job dag.JobID, v int) {
+	s := tl.series[job]
+	t := tl.now()
+	if n := len(s); n > 0 {
+		if s[n-1].V == v {
+			return
+		}
+		if s[n-1].T == t {
+			s[n-1].V = v
+			if n > 1 && s[n-2].V == v {
+				s = s[:n-1]
+			}
+			tl.series[job] = s
+			return
+		}
+	}
+	tl.series[job] = append(s, Point{T: t, V: v})
+}
+
+func (tl *refTimeline) Series(job dag.JobID) []Point {
+	return append([]Point(nil), tl.series[job]...)
+}
+
+func (tl *refTimeline) At(job dag.JobID, t time.Duration) int {
+	v := 0
+	for _, p := range tl.series[job] {
+		if p.T > t {
+			break
+		}
+		v = p.V
+	}
+	return v
+}
+
+func (tl *refTimeline) Integral(job dag.JobID, from, to time.Duration) time.Duration {
+	if to <= from {
+		return 0
+	}
+	var total time.Duration
+	cur := 0
+	last := from
+	for _, p := range tl.series[job] {
+		if p.T <= from {
+			cur = p.V
+			continue
+		}
+		if p.T >= to {
+			break
+		}
+		total += time.Duration(cur) * (p.T - last)
+		cur = p.V
+		last = p.T
+	}
+	total += time.Duration(cur) * (to - last)
+	return total
+}
+
+// TestTimelineMatchesSliceReference drives the block-chain store and the
+// slice reference with the same 10k seeded (job, t, v) sequences — weighted
+// toward repeated instants, equal values and A->B->A at one instant, with
+// series lengths on both sides of block and slab boundaries — and requires
+// every read to agree exactly.
+func TestTimelineMatchesSliceReference(t *testing.T) {
+	records := 0
+	for seed := int64(0); seed < 10000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clock := &fakeClock{}
+		got := NewTimeline(clock.now)
+		ref := &refTimeline{now: clock.now, series: make(map[dag.JobID][]Point)}
+
+		// Most sequences are a few jobs whose series end within a block or
+		// two of a block boundary; every 1000th stores more than a slab's
+		// worth of blocks over hundreds of jobs.
+		jobs := 1 + rng.Intn(3)
+		ops := rng.Intn(12 * blockPoints)
+		if seed%1000 == 0 {
+			jobs = 400 + rng.Intn(400)
+			ops = 4 * blockPoints * slabBlocks
+		}
+		stay := 0.3 + 0.5*rng.Float64() // chance the clock does not move
+
+		check := func(job dag.JobID) {
+			t.Helper()
+			if g, w := got.Series(job), ref.Series(job); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d job %d: Series = %v, want %v", seed, job, g, w)
+			}
+		}
+		for i := 0; i < ops; i++ {
+			if rng.Float64() >= stay {
+				clock.t += time.Duration(1+rng.Intn(3)) * time.Second
+			}
+			job := dag.JobID(rng.Intn(jobs))
+			s := ref.series[job]
+			v := rng.Intn(4)
+			switch r := rng.Intn(8); {
+			case r == 0 && len(s) > 0:
+				v = s[len(s)-1].V // equal value: dropped
+			case r <= 2 && len(s) > 1:
+				v = s[len(s)-2].V // back to the predecessor: collapses at one instant
+			}
+			got.Record(job, v)
+			ref.Record(job, v)
+			records++
+			if len(s) < 4*blockPoints || i%16 == 0 {
+				check(job)
+			}
+		}
+
+		if got.Jobs() != len(ref.series) {
+			t.Fatalf("seed %d: Jobs = %d, want %d", seed, got.Jobs(), len(ref.series))
+		}
+		end := clock.t + 2*time.Second
+		for id := -1; id <= jobs; id++ { // -1 and jobs were never recorded
+			job := dag.JobID(id)
+			check(job)
+			probes := []time.Duration{-time.Second, 0, end}
+			if s := ref.series[job]; len(s) > 0 {
+				probes = append(probes, s[0].T-1, s[0].T, s[len(s)-1].T, s[len(s)-1].T+1)
+			}
+			for k := 0; k < 8; k++ {
+				probes = append(probes, time.Duration(rng.Int63n(int64(end))))
+			}
+			for _, at := range probes {
+				if g, w := got.At(job, at), ref.At(job, at); g != w {
+					t.Fatalf("seed %d job %d: At(%v) = %d, want %d", seed, job, at, g, w)
+				}
+			}
+			for k := 0; k < 8; k++ {
+				from := time.Duration(rng.Int63n(int64(end))) - time.Second
+				to := from + time.Duration(rng.Int63n(int64(end)))
+				if k == 0 {
+					from, to = to, from // inverted window
+				}
+				if g, w := got.Integral(job, from, to), ref.Integral(job, from, to); g != w {
+					t.Fatalf("seed %d job %d: Integral(%v, %v) = %v, want %v", seed, job, from, to, g, w)
+				}
+			}
+		}
+	}
+	t.Logf("%d records compared", records)
+}
+
+// TestTimelineCollapseAcrossBlocks pins the one structural corner of the
+// block chain: a same-instant collapse that pops the only point of the tail
+// block must step back to the previous block, and the next append must land
+// where the popped point was.
+func TestTimelineCollapseAcrossBlocks(t *testing.T) {
+	clock := &fakeClock{}
+	tl := NewTimeline(clock.now)
+	var want []Point
+	for i := 0; i < blockPoints; i++ { // fill the first block: 1, 2, ..., 7
+		clock.t = time.Duration(i) * time.Second
+		tl.Record(1, i+1)
+		want = append(want, Point{T: clock.t, V: i + 1})
+	}
+	clock.t = time.Duration(blockPoints) * time.Second
+	tl.Record(1, 100)         // first point of the second block
+	tl.Record(1, blockPoints) // same instant, back to the predecessor: popped
+	if got := tl.Series(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after collapse: Series = %v, want %v", got, want)
+	}
+	if got := tl.At(1, clock.t); got != blockPoints {
+		t.Errorf("At after collapse = %d, want %d", got, blockPoints)
+	}
+	carved := len(tl.slab)
+	tl.Record(1, 9)
+	want = append(want, Point{T: clock.t, V: 9})
+	if len(tl.slab) != carved {
+		t.Errorf("re-append carved a new block; the emptied one should take it")
+	}
+	clock.t += time.Second
+	tl.Record(1, 0)
+	want = append(want, Point{T: clock.t, V: 0})
+	if got := tl.Series(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after re-append: Series = %v, want %v", got, want)
+	}
+}
+
+// TestTimelineAllocatesPerSlab is the allocation guard: recording is paid per
+// slab of blocks (plus the growth of the job map), never per job or per
+// point.
+func TestTimelineAllocatesPerSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	const jobs, perJob = 2000, 3 * blockPoints
+	clock := &fakeClock{}
+	tl := NewTimeline(clock.now)
+	for j := 0; j < jobs; j++ { // the map reaches its final size here, off the count
+		tl.Record(dag.JobID(j), 1)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 1; i < perJob; i++ {
+		clock.t += time.Second
+		for j := 0; j < jobs; j++ {
+			tl.Record(dag.JobID(j), 1+i%2)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	blocks := jobs * perJob / blockPoints
+	if got, max := m1.Mallocs-m0.Mallocs, uint64(blocks/slabBlocks+8); got > max {
+		t.Errorf("%d points over %d jobs cost %d mallocs, want <= %d (one per slab)", jobs*perJob, jobs, got, max)
+	}
+	pointBytes := uint64(jobs * perJob * int(unsafe.Sizeof(Point{})))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > pointBytes*13/10 {
+		t.Errorf("%d B of points cost %d B allocated, want <= 1.3x", pointBytes, got)
 	}
 }

@@ -131,18 +131,19 @@ func (s JobSpec) build(id dag.JobID, submit time.Duration) (*dag.Job, error) {
 			Demand:        ph.Demand,
 		}
 	}
-	class := dag.Foreground
+	job, err := dag.NewJob(id, s.Name, dag.Priority(s.Priority), specs)
+	if err != nil {
+		return nil, err
+	}
+	// Plain field assignments rather than dag's With* options: those cost a
+	// closure each and an option slice per job on the admission path.
+	job.Submit = submit
 	if s.Class == "background" {
-		class = dag.Background
+		job.Class = dag.Background
 	}
-	opts := []dag.Option{dag.WithSubmit(submit), dag.WithClass(class)}
-	if s.ParallelismKnown {
-		opts = append(opts, dag.WithKnownParallelism())
-	}
-	if s.Tenant != "" {
-		opts = append(opts, dag.WithTenant(s.Tenant))
-	}
-	return dag.NewJob(id, s.Name, dag.Priority(s.Priority), specs, opts...)
+	job.ParallelismKnown = s.ParallelismKnown
+	job.Tenant = s.Tenant
+	return job, nil
 }
 
 // SpecOf converts a built dag.Job back into its wire form, so workload
@@ -280,8 +281,8 @@ type SlotStatus struct {
 // (GET /v1/nodes). IDs are per-shard: (Shard, ID) identifies a node on a
 // sharded service.
 type NodeStatus struct {
-	ID    int    `json:"id"`
-	Shard int    `json:"shard,omitempty"`
+	ID    int `json:"id"`
+	Shard int `json:"shard,omitempty"`
 	// State is "up", "draining" or "down".
 	State string `json:"state"`
 	// Speed is the node's speed factor (1 = baseline; task service times

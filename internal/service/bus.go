@@ -13,11 +13,11 @@ import (
 // is dropped (its channel closed), and it can resubscribe from its last
 // seen sequence number — the standard SSE Last-Event-ID contract.
 type Bus struct {
-	mu    sync.Mutex
-	ring  []Event
-	start int // ring index of the oldest retained event
-	count int // retained events
-	subs  map[*Subscription]struct{}
+	mu     sync.Mutex
+	ring   []Event
+	start  int // ring index of the oldest retained event
+	count  int // retained events
+	subs   map[*Subscription]struct{}
 	closed bool
 	// published and dropped are atomics so metrics scrapes read them
 	// without contending on mu with the publish hot path.

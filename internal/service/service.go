@@ -189,6 +189,7 @@ type Service struct {
 	completed   int
 	failed      int
 	draining    bool
+	loads       []shard.Load // loadsLocked's scratch buffer
 
 	baselineCh chan baselineReq
 	baselineWG sync.WaitGroup
@@ -265,6 +266,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.shards = append(s.shards, &svcShard{index: i, nodes: split[i], eng: eng, cl: cl, rt: rt})
 	}
+	s.loads = make([]shard.Load, cfg.Shards)
 
 	if cfg.Shards > 1 && !cfg.Lending.Disabled {
 		peers := make([]shard.Peer, cfg.Shards)
@@ -430,18 +432,18 @@ func (s *Service) Subscribe(since uint64, buffer int) ([]Event, *Subscription) {
 // Busy is the outstanding peak demand routed to the shard (the instant
 // slot states live on K loop goroutines; stalling them all per admission
 // would serialize the service), so routing tracks commitments rather than
-// the momentary schedule. Callers hold s.mu.
+// the momentary schedule. Callers hold s.mu, which also guards the returned
+// slice: it is one scratch buffer, overwritten by the next call.
 func (s *Service) loadsLocked() []shard.Load {
-	out := make([]shard.Load, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = shard.Load{
+		s.loads[i] = shard.Load{
 			Slots:    sh.cl.NumSlots(),
 			Busy:     sh.demand,
 			Pending:  sh.pending,
 			Assigned: sh.assigned,
 		}
 	}
-	return out
+	return s.loads
 }
 
 // Submit validates and admits a job at the current virtual time, routing it

@@ -88,6 +88,38 @@ func TestSpecOfRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobSpecBuildSetsJobAttributes pins what build copies from the spec onto
+// the dag.Job now that it assigns the fields itself instead of passing dag's
+// With* options.
+func TestJobSpecBuildSetsJobAttributes(t *testing.T) {
+	for _, tc := range []struct {
+		class     string
+		wantClass dag.Class
+		tenant    string
+		known     bool
+	}{
+		{class: "", wantClass: dag.Foreground},
+		{class: "foreground", wantClass: dag.Foreground, tenant: "acme", known: true},
+		{class: "background", wantClass: dag.Background},
+		{class: "background", wantClass: dag.Background, tenant: "batch-1", known: true},
+	} {
+		spec := tinySpec("attrs", 7)
+		spec.Class, spec.Tenant, spec.ParallelismKnown = tc.class, tc.tenant, tc.known
+		job, err := spec.build(42, 90*time.Second)
+		if err != nil {
+			t.Fatalf("%+v: build: %v", tc, err)
+		}
+		if job.ID != 42 || job.Name != "attrs" || job.Priority != 7 {
+			t.Errorf("%+v: identity = %d %q %d", tc, job.ID, job.Name, job.Priority)
+		}
+		if job.Submit != 90*time.Second || job.Class != tc.wantClass ||
+			job.ParallelismKnown != tc.known || job.Tenant != tc.tenant {
+			t.Errorf("%+v: built Submit=%v Class=%v ParallelismKnown=%v Tenant=%q",
+				tc, job.Submit, job.Class, job.ParallelismKnown, job.Tenant)
+		}
+	}
+}
+
 // checkWireCausalOrder validates the SSE stream contract: sequence numbers
 // strictly increase, virtual time never goes backwards, and per job the
 // stream embeds the causal partial order (job_start < phase_start <

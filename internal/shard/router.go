@@ -56,7 +56,9 @@ func (l Load) free() int { return l.Slots - l.Busy - l.Reserved }
 
 // Router places incoming jobs onto shards. Pick returns the index of the
 // chosen shard; loads has one entry per shard. Implementations must be
-// deterministic functions of their inputs.
+// deterministic functions of their inputs, and may only read loads during
+// the call: the service passes one scratch slice it overwrites for the next
+// admission.
 type Router interface {
 	// Name returns the router's flag-facing name.
 	Name() string

@@ -34,12 +34,24 @@ type Event struct {
 	End     time.Duration `json:"endNs"`
 }
 
+// chunkEvents is the capacity of one storage chunk. 1024 events of 72 B are
+// 72 KB: nine whole heap pages, so a chunk wastes nothing to rounding.
+const chunkEvents = 1024
+
 // Recorder accumulates events. The zero value is ready to use. Recorder is
 // safe for concurrent use: the online service appends from the scheduler
 // loop while exports run from HTTP or shutdown goroutines.
+//
+// Events live in fixed-capacity chunks rather than one doubling slice, so
+// recording N events allocates N events' worth of memory, once, and never
+// copies an old event.
 type Recorder struct {
-	mu     sync.Mutex
-	events []Event
+	mu sync.Mutex
+	// chunks holds the events in append order; all but the last are full.
+	// A stored chunk pointer and a written event never change again, which
+	// is what lets Events copy them without holding mu.
+	chunks []*[chunkEvents]Event
+	n      int
 }
 
 // NewRecorder returns an empty recorder.
@@ -48,7 +60,12 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Append records one event.
 func (r *Recorder) Append(ev Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	i := r.n % chunkEvents
+	if i == 0 {
+		r.chunks = append(r.chunks, new([chunkEvents]Event))
+	}
+	r.chunks[len(r.chunks)-1][i] = ev
+	r.n++
 	r.mu.Unlock()
 }
 
@@ -56,29 +73,40 @@ func (r *Recorder) Append(ev Event) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }
 
 // Events returns the recorded events sorted by (start, job, phase, task).
-// The returned slice is a copy.
+// The returned slice is a copy, taken without stalling Append: only the
+// chunk list and the count are read under the lock, and the events below
+// that count are immutable.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
-	out := append([]Event(nil), r.events...)
+	chunks, n := r.chunks, r.n
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Job != b.Job {
-			return a.Job < b.Job
-		}
-		if a.Phase != b.Phase {
-			return a.Phase < b.Phase
-		}
-		return a.Task < b.Task
-	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for _, c := range chunks {
+		out = append(out, c[:min(chunkEvents, n-len(out))]...)
+	}
+	sort.Slice(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
 	return out
+}
+
+// eventLess is the export order: (start, job, phase, task).
+func eventLess(a, b Event) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Job != b.Job {
+		return a.Job < b.Job
+	}
+	if a.Phase != b.Phase {
+		return a.Phase < b.Phase
+	}
+	return a.Task < b.Task
 }
 
 // WriteCSV emits the trace with a header row. Times are in seconds.

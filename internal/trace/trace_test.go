@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"ssr/internal/dag"
 )
 
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -234,5 +243,138 @@ func TestRecorderWriteFile(t *testing.T) {
 	}
 	if err := r.WriteFile("/no/such/dir/x.csv"); err == nil {
 		t.Error("unwritable path should error")
+	}
+}
+
+// TestRecorderChunkBoundaries checks the chunked store against a plain sorted
+// slice at every size where a chunk opens, fills or is one short: Len, the
+// order of Events and the exported bytes must not show where chunks end.
+func TestRecorderChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 3*chunkEvents + 7} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			var r Recorder // the zero value is ready to use
+			var want []Event
+			for i := 0; i < n; i++ {
+				ev := Event{
+					Job: dag.JobID(1 + rng.Intn(5)), JobName: fmt.Sprintf("j%d", i%7), Phase: rng.Intn(3),
+					Task: i, Slot: rng.Intn(64), Copy: i%5 == 0, Local: i%3 != 0, Killed: i%11 == 0,
+					Start: time.Duration(rng.Intn(50)) * time.Second,
+				}
+				ev.End = ev.Start + time.Duration(1+rng.Intn(9000))*time.Millisecond
+				r.Append(ev)
+				want = append(want, ev)
+			}
+			sort.Slice(want, func(i, j int) bool { return eventLess(want[i], want[j]) })
+
+			if r.Len() != n {
+				t.Fatalf("Len = %d, want %d", r.Len(), n)
+			}
+			if got := r.Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Events differ from the sorted slice (got %d events, want %d)", len(got), len(want))
+			}
+
+			var wantJSON bytes.Buffer
+			enc := json.NewEncoder(&wantJSON)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			var gotJSON bytes.Buffer
+			if err := r.WriteJSON(&gotJSON); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+				t.Errorf("WriteJSON bytes differ from encoding the sorted slice")
+			}
+
+			var wantCSV, gotCSV bytes.Buffer
+			wantCSV.WriteString("job,jobName,phase,task,slot,copy,local,killed,startSec,endSec\n")
+			for _, ev := range want {
+				fmt.Fprintf(&wantCSV, "%d,%s,%d,%d,%d,%t,%t,%t,%.6f,%.6f\n", ev.Job, ev.JobName, ev.Phase,
+					ev.Task, ev.Slot, ev.Copy, ev.Local, ev.Killed, ev.Start.Seconds(), ev.End.Seconds())
+			}
+			if err := r.WriteCSV(&gotCSV); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
+				t.Errorf("WriteCSV bytes differ from formatting the sorted slice")
+			}
+		})
+	}
+}
+
+// TestRecorderSnapshotsWhileAppending covers the fix for the export stall:
+// Events used to copy the whole trace while holding the mutex Append needs,
+// and now copies outside it. One goroutine appends 200k events while another
+// exports in a loop; every snapshot must be a sorted, duplicate-free prefix
+// of what was appended. Run under -race.
+func TestRecorderSnapshotsWhileAppending(t *testing.T) {
+	const total = 200000
+	r := NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			// Start rises with the append index, so a prefix of the
+			// appends is exactly tasks 0..k-1 in order.
+			r.Append(Event{Job: 1, JobName: "w", Task: i, Start: time.Duration(i), End: time.Duration(i + 1)})
+		}
+	}()
+	snapshots := 0
+	for running := true; running; snapshots++ {
+		select {
+		case <-done:
+			running = false // one last pass over the complete trace
+		default:
+		}
+		before := r.Len()
+		evs := r.Events()
+		after := r.Len()
+		if len(evs) < before || len(evs) > after {
+			t.Fatalf("snapshot of %d events taken between Len %d and %d", len(evs), before, after)
+		}
+		for i, ev := range evs {
+			if ev.Task != i || ev.Start != time.Duration(i) {
+				t.Fatalf("snapshot of %d: event %d is task %d at %v; not a prefix", len(evs), i, ev.Task, ev.Start)
+			}
+		}
+		if snapshots%8 == 0 {
+			if err := r.WriteCSV(io.Discard); err != nil {
+				t.Fatalf("WriteCSV: %v", err)
+			}
+		}
+	}
+	if got := r.Len(); got != total {
+		t.Errorf("Len = %d, want %d", got, total)
+	}
+	t.Logf("%d consistent snapshots while appending", snapshots)
+}
+
+// TestRecorderAllocatesPerChunk is the allocation guard: N appends cost the
+// chunks that hold them plus the growth of the chunk list, and no more bytes
+// than the events themselves (the open chunk's unused tail aside).
+func TestRecorderAllocatesPerChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	const n = 40*chunkEvents + 100
+	ev := Event{Job: 1, JobName: "guard", End: time.Second}
+	var r Recorder
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		r.Append(ev)
+	}
+	runtime.ReadMemStats(&m1)
+	if got, max := m1.Mallocs-m0.Mallocs, uint64(2*n/chunkEvents+8); got > max {
+		t.Errorf("%d appends cost %d mallocs, want <= %d", n, got, max)
+	}
+	eventBytes := uint64(n) * uint64(unsafe.Sizeof(ev))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > eventBytes*11/10 {
+		t.Errorf("%d B of events cost %d B allocated, want <= 1.1x", eventBytes, got)
+	}
+	if r.Len() != n {
+		t.Errorf("Len = %d, want %d", r.Len(), n)
 	}
 }
