@@ -161,7 +161,10 @@ type Cluster struct {
 	// scheduler's per-dispatch sweeps and override scans iterate in
 	// deterministic order without sorting map keys each time.
 	reservedOrder []dag.JobID
-	listener      StateListener
+	// resFree holds emptied reservation records, slots capacity included,
+	// for the next job that starts reserving.
+	resFree  []*jobReservations
+	listener StateListener
 	// nodeState holds each node's lifecycle state; the zero value (NodeUp
 	// everywhere) is the homogeneous always-on cluster.
 	nodeState []NodeState
@@ -726,17 +729,25 @@ func (c *Cluster) consumeReservation(s *Slot) {
 		if len(jr.slots) == 0 {
 			delete(c.reserved, s.res.Job)
 			c.removeReservedJob(s.res.Job)
+			c.resFree = append(c.resFree, jr)
 		}
 	}
 	s.res = Reservation{}
 }
 
-// reservationsFor returns the job's reservation record, creating it (and
-// registering the job in reservedOrder) on first use.
+// reservationsFor returns the job's reservation record, taking an emptied
+// one off the free list or creating it (and registering the job in
+// reservedOrder) on first use.
 func (c *Cluster) reservationsFor(job dag.JobID, prio dag.Priority) *jobReservations {
 	jr := c.reserved[job]
 	if jr == nil {
-		jr = &jobReservations{priority: prio}
+		if n := len(c.resFree); n > 0 {
+			jr, c.resFree[n-1] = c.resFree[n-1], nil
+			c.resFree = c.resFree[:n-1]
+			jr.priority = prio
+		} else {
+			jr = &jobReservations{priority: prio}
+		}
 		c.reserved[job] = jr
 		i := sort.Search(len(c.reservedOrder), func(i int) bool { return c.reservedOrder[i] >= job })
 		c.reservedOrder = append(c.reservedOrder, 0)

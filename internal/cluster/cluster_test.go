@@ -439,3 +439,77 @@ func TestClusterStateMachineProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReservationRecordsAreReused: a job whose last reservation is consumed
+// gives its record to the next job that starts reserving. The new holder
+// must see only its own slots and priority, the old one nothing, and a
+// steady reserve/consume churn over fresh job IDs allocates nothing.
+func TestReservationRecordsAreReused(t *testing.T) {
+	c := mustCluster(t, 2, 4)
+	reserve := func(job dag.JobID, prio dag.Priority, n int) []SlotID {
+		var got []SlotID
+		for i := 0; i < n; i++ {
+			s, ok := c.ReserveAnyFree(Reservation{Job: job, Priority: prio}, 1)
+			if !ok {
+				t.Fatalf("job %d: no free slot to reserve", job)
+			}
+			got = append(got, s)
+		}
+		return got
+	}
+	a := reserve(1, 5, 3)
+	b := reserve(2, 9, 2)
+	for range a {
+		if _, ok := c.AcquireReservedFor(1, 1); !ok {
+			t.Fatal("job 1 cannot take its own reservation")
+		}
+	}
+	if len(c.resFree) != 1 || c.ReservedCount(1) != 0 || c.ReservedSlots(1) != nil {
+		t.Fatalf("after job 1 consumed everything: %d records free, job 1 holds %d", len(c.resFree), c.ReservedCount(1))
+	}
+	// Job 3 takes over job 1's record, at its own priority.
+	d := reserve(3, 2, 1)
+	if len(c.resFree) != 0 {
+		t.Fatalf("job 3 did not reuse the freed record (%d still free)", len(c.resFree))
+	}
+	if got := c.ReservedSlots(3); len(got) != 1 || got[0] != d[0] {
+		t.Errorf("job 3 holds %v, want %v", got, d)
+	}
+	if got := c.ReservedSlots(2); len(got) != 2 || got[0] != b[0] || got[1] != b[1] {
+		t.Errorf("job 2 holds %v, want %v", got, b)
+	}
+	if jobs := c.ReservedJobs(); len(jobs) != 2 || jobs[0] != 2 || jobs[1] != 3 {
+		t.Errorf("ReservedJobs = %v, want [2 3]", jobs)
+	}
+	// Priority 2 is job 3's, not the 5 the record carried for job 1: a
+	// priority-4 task may override it, and only it.
+	if s, ok := c.AcquireOverride(4, 1); !ok || s != d[0] {
+		t.Errorf("AcquireOverride(4) = %v, %v; want job 3's slot %v", s, ok, d[0])
+	}
+	if err := c.Release(d[0]); err != nil {
+		t.Fatal(err)
+	}
+	// Every exit empties a record the same way: cancel, release, node loss.
+	if err := c.CancelReservation(b[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(b[1]); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.resFree) != 2 || c.TotalReserved() != 0 || len(c.ReservedJobs()) != 0 {
+		t.Fatalf("after everything was given back: %d records free, %d slots reserved", len(c.resFree), c.TotalReserved())
+	}
+	next := dag.JobID(100)
+	if allocs := testing.AllocsPerRun(100, func() {
+		next++
+		s, _ := c.ReserveAnyFree(Reservation{Job: next, Priority: 1}, 1)
+		if got, ok := c.AcquireReservedFor(next, 1); !ok || got != s {
+			t.Fatalf("job %d: reserved %v, acquired %v, %v", next, s, got, ok)
+		}
+		if err := c.Release(s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("reserve/consume churn allocates %.1f per job, want 0", allocs)
+	}
+}

@@ -1,6 +1,10 @@
 package cluster
 
-import "ssr/internal/dag"
+import (
+	"slices"
+
+	"ssr/internal/dag"
+)
 
 // PhaseKey identifies one phase of one job, for locality bookkeeping.
 type PhaseKey struct {
@@ -57,20 +61,37 @@ func (r *LocalityRegistry) TaskSlots(key PhaseKey) []SlotID {
 // task order of first use.
 func (r *LocalityRegistry) SlotsFor(key PhaseKey) []SlotID {
 	raw := r.byPhase[key]
-	if len(raw) == 0 {
-		return nil
-	}
+	// A phase's tasks land on a handful of slots: scanning the output so
+	// far finds a repeat without building a set. Only a phase wider than
+	// dedupScanMax pays for the map.
 	var out []SlotID
-	seen := make(map[SlotID]bool, len(raw))
+	var seen map[SlotID]bool
+	if len(raw) > dedupScanMax {
+		seen = make(map[SlotID]bool, len(raw))
+	}
 	for _, s := range raw {
-		if s == NoSlot || seen[s] {
+		switch {
+		case s == NoSlot:
 			continue
+		case seen == nil:
+			if slices.Contains(out, s) {
+				continue
+			}
+		case seen[s]:
+			continue
+		default:
+			seen[s] = true
 		}
-		seen[s] = true
+		if out == nil {
+			out = make([]SlotID, 0, len(raw))
+		}
 		out = append(out, s)
 	}
 	return out
 }
+
+// dedupScanMax is the widest phase SlotsFor deduplicates by linear scan.
+const dedupScanMax = 64
 
 // PreferredSlots returns the union of slots holding the outputs of the
 // given phase's upstream dependencies — the PROCESS_LOCAL placement set for

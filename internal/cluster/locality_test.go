@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -178,4 +179,58 @@ func TestForgetJob(t *testing.T) {
 	}
 	// Forgetting twice is harmless.
 	r.ForgetJob(1)
+}
+
+// TestSlotsForMatchesSetDedup compares SlotsFor on both sides of
+// dedupScanMax with deduplication through a set, the way it was always
+// done: same distinct slots, same first-use order, unset entries skipped,
+// nil when nothing is recorded.
+func TestSlotsForMatchesSetDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, width := range []int{1, 2, 7, dedupScanMax - 1, dedupScanMax, dedupScanMax + 1, 3 * dedupScanMax} {
+		for _, slots := range []int{1, 4, width, 4 * width} {
+			r := NewLocalityRegistry()
+			key := PhaseKey{Job: 1, Phase: 2}
+			var want []SlotID
+			seen := map[SlotID]bool{}
+			for task := 0; task < width; task++ {
+				if rng.Intn(5) == 0 {
+					continue // never recorded: stays NoSlot
+				}
+				s := SlotID(rng.Intn(slots))
+				r.Record(key, task, width, s)
+				if !seen[s] {
+					seen[s] = true
+					want = append(want, s)
+				}
+			}
+			got := r.SlotsFor(key)
+			if len(want) == 0 && got != nil {
+				t.Fatalf("width %d: SlotsFor = %v with nothing recorded, want nil", width, got)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("width %d over %d slots: SlotsFor = %v, want %v", width, slots, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("width %d over %d slots: SlotsFor = %v, want %v", width, slots, got, want)
+				}
+			}
+		}
+	}
+	r := NewLocalityRegistry()
+	r.Record(PhaseKey{Job: 1}, 0, 2, NoSlot)
+	if got := r.SlotsFor(PhaseKey{Job: 1}); got != nil {
+		t.Errorf("SlotsFor of a phase with only unset entries = %v, want nil", got)
+	}
+	if got := r.SlotsFor(PhaseKey{Job: 9}); got != nil {
+		t.Errorf("SlotsFor of an unknown phase = %v, want nil", got)
+	}
+	// Below the threshold the whole call is the one result slice.
+	for task := 0; task < 8; task++ {
+		r.Record(PhaseKey{Job: 2}, task, 8, SlotID(task%3))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.SlotsFor(PhaseKey{Job: 2}) }); allocs != 1 {
+		t.Errorf("SlotsFor of a narrow phase allocates %.0f times, want 1", allocs)
+	}
 }

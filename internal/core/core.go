@@ -107,7 +107,7 @@ func (c Config) Validate() error {
 }
 
 // PhaseTracker applies Algorithm 1 to one phase of one job. The driver
-// creates one tracker per running phase and reports every completion.
+// keeps one tracker per running phase and reports every completion.
 type PhaseTracker struct {
 	cfg   Config
 	m     int  // parallelism of the current phase
@@ -125,20 +125,31 @@ type PhaseTracker struct {
 // downstream parallelism n (UnknownParallelism if not known a priori).
 // final marks phases with no downstream computation.
 func NewPhaseTracker(cfg Config, m, n int, final bool) (*PhaseTracker, error) {
-	if err := cfg.Validate(); err != nil {
+	t := new(PhaseTracker)
+	if err := t.Init(cfg, m, n, final); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// Init resets t in place to a fresh tracker for the given phase — what
+// NewPhaseTracker returns — for callers that embed trackers by value in a
+// larger block. On error t is left untouched.
+func (t *PhaseTracker) Init(cfg Config, m, n int, final bool) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if m <= 0 {
-		return nil, fmt.Errorf("core: phase parallelism %d must be positive", m)
+		return fmt.Errorf("core: phase parallelism %d must be positive", m)
 	}
 	if n < 0 && n != UnknownParallelism {
-		return nil, fmt.Errorf("core: downstream parallelism %d invalid", n)
+		return fmt.Errorf("core: downstream parallelism %d invalid", n)
 	}
-	t := &PhaseTracker{cfg: cfg, m: m, n: n, final: final}
+	*t = PhaseTracker{cfg: cfg, m: m, n: n, final: final}
 	if !final && n != UnknownParallelism && m > n {
 		t.releasesLeft = m - n
 	}
-	return t, nil
+	return nil
 }
 
 // Finished returns the number of completed tasks observed so far.

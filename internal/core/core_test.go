@@ -56,6 +56,32 @@ func TestNewPhaseTrackerValidation(t *testing.T) {
 	}
 }
 
+// TestInitResetsInPlace: Init on a used tracker, embedded by value in a
+// larger block, leaves exactly what NewPhaseTracker returns, and a refused
+// Init leaves the tracker as it was.
+func TestInitResetsInPlace(t *testing.T) {
+	var block [2]PhaseTracker
+	tr := &block[1]
+	if err := tr.Init(DefaultConfig(), 6, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	tr.HandleCompletion()
+	tr.ExpireDeadline()
+	used := *tr
+	if err := tr.Init(DefaultConfig(), 0, 2, false); err == nil || *tr != used {
+		t.Errorf("refused Init: err %v, tracker %+v, want it untouched %+v", err, *tr, used)
+	}
+	if err := tr.Init(DefaultConfig(), 4, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := mustTracker(t, DefaultConfig(), 4, 3, false); *tr != *want {
+		t.Errorf("Init left %+v, NewPhaseTracker gives %+v", *tr, *want)
+	}
+	if block[0] != (PhaseTracker{}) {
+		t.Errorf("Init wrote outside its tracker: %+v", block[0])
+	}
+}
+
 func TestDisabledAlwaysReleases(t *testing.T) {
 	tr := mustTracker(t, Disabled(), 4, 4, false)
 	for i := 0; i < 4; i++ {

@@ -96,7 +96,8 @@ func (c Class) String() string {
 	}
 }
 
-// Job is an immutable workflow DAG of phases.
+// Job is an immutable workflow DAG of phases, laid out once by a Builder:
+// one []Phase, one []Task every phase slices into, and the arena below.
 type Job struct {
 	// ID identifies the job.
 	ID JobID
@@ -118,9 +119,21 @@ type Job struct {
 	// branches on it — quotas are enforced at admission, above.
 	Tenant string
 
-	phases   []*Phase
-	children [][]int
-	topo     []int
+	phases []*Phase
+	// arena holds, for n phases with D deduplicated dependency edges:
+	//
+	//	[0, n)          the topological order; its leading run of
+	//	                dependency-free phases is Roots
+	//	[n, 2n+1)       child offsets: phase i's children are
+	//	                arena[arena[n+i]:arena[n+i+1]]
+	//	[2n+1, 2n+1+D)  every phase's Deps list, in phase order
+	//	[2n+1+D, +D)    every phase's children list, in phase order
+	//
+	// Every section is found from len(phases) and the offsets stored in the
+	// arena itself: one slice header here instead of one per section keeps
+	// Job in the 128-byte size class (three more headers put it in the
+	// 224-byte one, and every finished job retains its Job).
+	arena []int
 }
 
 var (
@@ -144,89 +157,270 @@ func WithKnownParallelism() Option { return func(j *Job) { j.ParallelismKnown = 
 // WithTenant sets the owning tenant.
 func WithTenant(t string) Option { return func(j *Job) { j.Tenant = t } }
 
-// NewJob builds and validates a job from phase specifications.
-func NewJob(id JobID, name string, priority Priority, specs []PhaseSpec, opts ...Option) (*Job, error) {
-	if len(specs) == 0 {
+// stackPhases is the phase count up to which a Builder's per-phase scratch
+// (dependency stamps, child cursors, in-degrees) sits inside the Builder
+// value, on its caller's stack, rather than in a heap slice.
+const stackPhases = 16
+
+// Builder lays a job out from its declared shape: NewBuilder allocates the
+// job's blocks, each AddPhase hands the caller that phase's tasks to fill,
+// and Job validates, links and returns the result. It is the one
+// construction path; NewJob and Chain are built on it. Errors are sticky:
+// after the first one AddPhase returns nil and Job reports it. Keep the
+// Builder in a local variable so its scratch stays off the heap.
+type Builder struct {
+	job      *Job
+	block    []Phase // cap is the declared phase count
+	tasks    []Task  // len is the part already handed out
+	arena    []int   // Job.arena under construction: len grows with each Deps list
+	depsLeft int     // declared dependency entries not yet used
+	checked  int     // phases of block already validated
+	err      error
+	small    [stackPhases]int
+	big      []int
+}
+
+// NewBuilder starts a job with exactly phases phases, at most tasks tasks
+// in total and at most deps dependency entries in total (duplicates
+// included). The job's class defaults to Foreground.
+func NewBuilder(id JobID, name string, priority Priority, phases, tasks, deps int) Builder {
+	b := Builder{job: &Job{ID: id, Name: name, Priority: priority, Class: Foreground}, depsLeft: deps}
+	if phases < 0 || tasks < 0 || deps < 0 {
+		b.err = fmt.Errorf("dag: job %q builder declared a negative size", name)
+		return b
+	}
+	b.job.phases = make([]*Phase, 0, phases)
+	b.block = make([]Phase, 0, phases)
+	b.tasks = make([]Task, 0, tasks)
+	b.arena = make([]int, 2*phases+1, 2*phases+1+2*deps)
+	if phases > stackPhases {
+		b.big = make([]int, phases)
+	}
+	return b
+}
+
+// scratch returns one int per declared phase, reused by each build step.
+func (b *Builder) scratch() []int {
+	if b.big != nil {
+		return b.big
+	}
+	return b.small[:cap(b.block)]
+}
+
+// AddPhase appends the next phase: n tasks, the given upstream phase
+// indices (copied; duplicates are dropped) and per-task slot demand (zero
+// means 1). It returns the phase's n tasks, Index set, for the caller to
+// give each a positive Duration and CopyDuration — or nil once the builder
+// has failed, so fill by ranging over the result.
+func (b *Builder) AddPhase(n int, deps []int, demand int) []Task {
+	b.checkPhase()
+	if b.err != nil {
+		return nil
+	}
+	name, pi := b.job.Name, len(b.block)
+	switch {
+	case pi == cap(b.block):
+		b.err = fmt.Errorf("dag: job %q builder got more than the %d phases it declared", name, pi)
+	case n <= 0:
+		b.err = fmt.Errorf("dag: job %q phase %d has no tasks", name, pi)
+	case n > cap(b.tasks)-len(b.tasks):
+		b.err = fmt.Errorf("dag: job %q builder got more than the %d tasks it declared", name, cap(b.tasks))
+	case len(deps) > b.depsLeft:
+		b.err = fmt.Errorf("dag: job %q builder got more dependency entries than it declared", name)
+	}
+	if b.err != nil {
+		return nil
+	}
+	b.depsLeft -= len(deps)
+	lo := len(b.tasks)
+	b.tasks = b.tasks[:lo+n]
+	tasks := b.tasks[lo : lo+n : lo+n]
+	for ti := range tasks {
+		tasks[ti].Index = ti
+	}
+	dlo := len(b.arena)
+	b.arena = append(b.arena, deps...)
+	b.block = append(b.block, Phase{ID: pi, Tasks: tasks, Deps: b.arena[dlo:], Demand: demand})
+	b.job.phases = append(b.job.phases, &b.block[pi])
+	return tasks
+}
+
+// checkPhase validates the most recently added phase once its caller has
+// filled its tasks — demand, then durations, then dependencies, the order
+// errors have always been reported in — and deduplicates its Deps in place.
+func (b *Builder) checkPhase() {
+	if b.err != nil || b.checked == len(b.block) {
+		return
+	}
+	p := &b.block[b.checked]
+	b.checked++
+	name, pi := b.job.Name, p.ID
+	if p.Demand < 0 {
+		b.err = fmt.Errorf("dag: job %q phase %d has negative demand %d", name, pi, p.Demand)
+		return
+	}
+	if p.Demand == 0 {
+		p.Demand = 1
+	}
+	for ti, t := range p.Tasks {
+		if t.Duration <= 0 {
+			b.err = fmt.Errorf("dag: job %q phase %d task %d has non-positive duration %v",
+				name, pi, ti, t.Duration)
+			return
+		}
+		if t.CopyDuration <= 0 {
+			b.err = fmt.Errorf("dag: job %q phase %d task %d has non-positive copy duration %v",
+				name, pi, ti, t.CopyDuration)
+			return
+		}
+	}
+	// seen[dep] == pi+1 marks dep as already listed by this phase.
+	seen, kept := b.scratch(), p.Deps[:0]
+	for _, dep := range p.Deps {
+		if dep < 0 || dep >= cap(b.block) {
+			b.err = fmt.Errorf("dag: job %q phase %d depends on out-of-range phase %d", name, pi, dep)
+			return
+		}
+		if dep == pi {
+			b.err = fmt.Errorf("dag: job %q phase %d depends on itself", name, pi)
+			return
+		}
+		if seen[dep] != pi+1 {
+			seen[dep] = pi + 1
+			kept = append(kept, dep)
+		}
+	}
+	b.arena = b.arena[:len(b.arena)-len(p.Deps)+len(kept)]
+	p.Deps = nil
+	if len(kept) > 0 {
+		p.Deps = kept[:len(kept):len(kept)]
+	}
+}
+
+// Job validates the last phase, derives the children index and the
+// topological order, and returns the finished job.
+func (b *Builder) Job() (*Job, error) {
+	b.checkPhase()
+	n := len(b.block)
+	switch {
+	case b.err != nil:
+		return nil, b.err
+	case cap(b.block) == 0:
 		return nil, errNoPhases
+	case n < cap(b.block):
+		return nil, fmt.Errorf("dag: job %q builder got %d of the %d phases it declared", b.job.Name, n, cap(b.block))
 	}
-	j := &Job{
-		ID:       id,
-		Name:     name,
-		Priority: priority,
-		Class:    Foreground,
-		phases:   make([]*Phase, 0, len(specs)),
-		children: make([][]int, len(specs)),
+	// Children in offset/index form: count each phase's children, turn the
+	// counts into offsets past the Deps lists, then fill in phase order so
+	// every children list is ascending, as the sort below relies on.
+	a, scratch := b.arena, b.scratch()
+	topo, off := a[:n], a[n:2*n+1]
+	for i := range scratch {
+		scratch[i] = 0
 	}
-	for _, opt := range opts {
-		opt(j)
+	for i := range b.block {
+		for _, dep := range b.block[i].Deps {
+			scratch[dep]++
+		}
 	}
-	for pi, spec := range specs {
-		if len(spec.Durations) == 0 {
-			return nil, fmt.Errorf("dag: job %q phase %d has no tasks", name, pi)
-		}
-		if spec.CopyDurations != nil && len(spec.CopyDurations) != len(spec.Durations) {
-			return nil, fmt.Errorf("dag: job %q phase %d has %d copy durations for %d tasks",
-				name, pi, len(spec.CopyDurations), len(spec.Durations))
-		}
-		demand := spec.Demand
-		if demand == 0 {
-			demand = 1
-		}
-		if demand < 0 {
-			return nil, fmt.Errorf("dag: job %q phase %d has negative demand %d", name, pi, spec.Demand)
-		}
-		ph := &Phase{ID: pi, Tasks: make([]Task, len(spec.Durations)), Demand: demand}
-		for ti, d := range spec.Durations {
-			if d <= 0 {
-				return nil, fmt.Errorf("dag: job %q phase %d task %d has non-positive duration %v",
-					name, pi, ti, d)
-			}
-			cd := d
-			if spec.CopyDurations != nil {
-				cd = spec.CopyDurations[ti]
-				if cd <= 0 {
-					return nil, fmt.Errorf("dag: job %q phase %d task %d has non-positive copy duration %v",
-						name, pi, ti, cd)
-				}
-			}
-			ph.Tasks[ti] = Task{Index: ti, Duration: d, CopyDuration: cd}
-		}
-		seen := make(map[int]bool, len(spec.Deps))
-		for _, dep := range spec.Deps {
-			if dep < 0 || dep >= len(specs) {
-				return nil, fmt.Errorf("dag: job %q phase %d depends on out-of-range phase %d", name, pi, dep)
-			}
-			if dep == pi {
-				return nil, fmt.Errorf("dag: job %q phase %d depends on itself", name, pi)
-			}
-			if seen[dep] {
-				continue
-			}
-			seen[dep] = true
-			ph.Deps = append(ph.Deps, dep)
-			j.children[dep] = append(j.children[dep], pi)
-		}
-		j.phases = append(j.phases, ph)
+	end := len(a)
+	for i, kids := range scratch {
+		off[i], scratch[i] = end, end
+		end += kids
 	}
-	topo, err := j.topoSort()
-	if err != nil {
-		return nil, fmt.Errorf("dag: job %q: %w", name, err)
+	off[n] = end
+	a = a[:end]
+	for i := range b.block {
+		for _, dep := range b.block[i].Deps {
+			a[scratch[dep]] = i
+			scratch[dep]++
+		}
 	}
-	j.topo = topo
-	return j, nil
+	// Kahn's algorithm with a FIFO over phase IDs; ties resolve in ID
+	// order. A phase is dequeued in the order it was enqueued, so the
+	// order being built is its own queue.
+	for i := range b.block {
+		scratch[i] = len(b.block[i].Deps)
+	}
+	tail := 0
+	for i, indeg := range scratch {
+		if indeg == 0 {
+			topo[tail] = i
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		id := topo[head]
+		for _, c := range a[off[id]:off[id+1]] {
+			if scratch[c]--; scratch[c] == 0 {
+				topo[tail] = c
+				tail++
+			}
+		}
+	}
+	if tail != n {
+		return nil, fmt.Errorf("dag: job %q: %w", b.job.Name, errCycle)
+	}
+	b.job.arena = a
+	return b.job, nil
+}
+
+// NewJob builds and validates a job from phase specifications. The job
+// shares no storage with specs.
+func NewJob(id JobID, name string, priority Priority, specs []PhaseSpec, opts ...Option) (*Job, error) {
+	return build(id, name, priority, specs, false, opts)
 }
 
 // Chain builds a linear pipeline: each phase depends on the previous one.
 // This is the dominant shape in the paper (Fig. 2).
 func Chain(id JobID, name string, priority Priority, phases []PhaseSpec, opts ...Option) (*Job, error) {
-	specs := make([]PhaseSpec, len(phases))
-	for i, p := range phases {
-		specs[i] = p
-		if i > 0 {
-			specs[i].Deps = []int{i - 1}
+	return build(id, name, priority, phases, true, opts)
+}
+
+func build(id JobID, name string, priority Priority, specs []PhaseSpec, chain bool, opts []Option) (*Job, error) {
+	if len(specs) == 0 {
+		return nil, errNoPhases
+	}
+	tasks, deps := 0, 0
+	for i := range specs {
+		tasks += len(specs[i].Durations)
+		if chain && i > 0 {
+			deps++
+		} else {
+			deps += len(specs[i].Deps)
 		}
 	}
-	return NewJob(id, name, priority, specs, opts...)
+	b := NewBuilder(id, name, priority, len(specs), tasks, deps)
+	for pi := range specs {
+		spec := &specs[pi]
+		var prev [1]int
+		on := spec.Deps
+		if chain && pi > 0 {
+			prev[0], on = pi-1, prev[:]
+		}
+		ts := b.AddPhase(len(spec.Durations), on, spec.Demand)
+		if b.err == nil && spec.CopyDurations != nil && len(spec.CopyDurations) != len(spec.Durations) {
+			b.err = fmt.Errorf("dag: job %q phase %d has %d copy durations for %d tasks",
+				name, pi, len(spec.CopyDurations), len(spec.Durations))
+		}
+		if b.err != nil {
+			break // Job reports it; CopyDurations may be short
+		}
+		for ti := range ts {
+			ts[ti].Duration, ts[ti].CopyDuration = spec.Durations[ti], spec.Durations[ti]
+			if spec.CopyDurations != nil {
+				ts[ti].CopyDuration = spec.CopyDurations[ti]
+			}
+		}
+	}
+	j, err := b.Job()
+	if err != nil {
+		return nil, err
+	}
+	for _, opt := range opts {
+		opt(j)
+	}
+	return j, nil
 }
 
 // NumPhases returns the number of phases.
@@ -240,34 +434,39 @@ func (j *Job) Phase(id int) *Phase { return j.phases[id] }
 // callers must not mutate it.
 func (j *Job) Phases() []*Phase { return j.phases }
 
-// Children returns the IDs of the phases directly downstream of phase id.
-// The returned slice is shared; callers must not mutate it.
-func (j *Job) Children(id int) []int { return j.children[id] }
+// Children returns the IDs of the phases directly downstream of phase id,
+// ascending. The returned slice is shared; callers must not mutate it.
+func (j *Job) Children(id int) []int {
+	_ = j.phases[id] // out-of-range IDs panic, as in Phase
+	off := j.arena[len(j.phases)+id:]
+	return j.arena[off[0]:off[1]:off[1]]
+}
 
 // IsFinal reports whether phase id has no downstream phases.
-func (j *Job) IsFinal(id int) bool { return len(j.children[id]) == 0 }
+func (j *Job) IsFinal(id int) bool { return len(j.Children(id)) == 0 }
 
-// Roots returns the IDs of phases with no dependencies, in ID order.
+// Roots returns the IDs of phases with no dependencies, in ID order. The
+// returned slice is shared; callers must not mutate it.
 func (j *Job) Roots() []int {
-	var roots []int
-	for _, p := range j.phases {
-		if len(p.Deps) == 0 {
-			roots = append(roots, p.ID)
-		}
+	// The sort seeds its queue with the roots in ID order, so they lead
+	// the topological order.
+	r := 0
+	for r < len(j.phases) && len(j.phases[j.arena[r]].Deps) == 0 {
+		r++
 	}
-	return roots
+	return j.arena[:r:r]
 }
 
 // TopoOrder returns the phase IDs in a dependency-respecting order.
 // The returned slice is shared; callers must not mutate it.
-func (j *Job) TopoOrder() []int { return j.topo }
+func (j *Job) TopoOrder() []int { return j.arena[:len(j.phases):len(j.phases)] }
 
 // DownstreamParallelism returns the paper's n for phase id: the total
 // degree of parallelism of the phases directly downstream of it. It returns
 // 0 for final phases.
 func (j *Job) DownstreamParallelism(id int) int {
 	n := 0
-	for _, c := range j.children[id] {
+	for _, c := range j.Children(id) {
 		n += len(j.phases[c].Tasks)
 	}
 	return n
@@ -322,7 +521,7 @@ func (j *Job) SerialWork() time.Duration {
 func (j *Job) CriticalPath() time.Duration {
 	longest := make([]time.Duration, len(j.phases))
 	var best time.Duration
-	for _, id := range j.topo {
+	for _, id := range j.TopoOrder() {
 		p := j.phases[id]
 		var slowest time.Duration
 		for _, t := range p.Tasks {
@@ -342,38 +541,6 @@ func (j *Job) CriticalPath() time.Duration {
 		}
 	}
 	return best
-}
-
-func (j *Job) topoSort() ([]int, error) {
-	n := len(j.phases)
-	indeg := make([]int, n)
-	for _, p := range j.phases {
-		indeg[p.ID] = len(p.Deps)
-	}
-	// Kahn's algorithm with a FIFO over phase IDs; ties resolve in ID
-	// order because children are appended in ID order.
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, c := range j.children[id] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, errCycle
-	}
-	return order, nil
 }
 
 func (j *Job) String() string {

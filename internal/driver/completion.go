@@ -16,7 +16,7 @@ import (
 func (d *Driver) onFinish(att *attempt) {
 	pr := att.pr
 	jr := pr.jr
-	task := &pr.tasks[att.taskIdx]
+	task := &pr.tasks()[att.taskIdx]
 	if task.done {
 		// The sibling should have been killed; reaching here is a bug.
 		panic("driver: finish event for an already-completed task")
@@ -328,8 +328,8 @@ func (d *Driver) maybeMitigate(pr *phaseRun) {
 	budget := -1
 	if ad := d.opts.Adaptive; ad != nil {
 		budget = ad.CopyBudget(pr.jr.job.Tenant, pr.jr.class, pr.runningTasks)
-		for idx := range pr.tasks {
-			if pr.tasks[idx].dup != nil {
+		for _, task := range pr.tasks() {
+			if task.dup != nil {
 				budget--
 			}
 		}
@@ -337,15 +337,14 @@ func (d *Driver) maybeMitigate(pr *phaseRun) {
 			budget = 0
 		}
 	}
-	for idx := range pr.tasks {
-		task := &pr.tasks[idx]
+	for idx, task := range pr.tasks() {
 		if task.done || task.orig == nil || task.dup != nil {
 			continue
 		}
 		if budget == 0 {
 			return
 		}
-		slot, ok := d.cl.AcquireReservedFor(jobID, pr.demand)
+		slot, ok := d.cl.AcquireReservedFor(jobID, pr.phase.Demand)
 		if !ok {
 			return
 		}
@@ -380,13 +379,15 @@ func (d *Driver) onPhaseComplete(pr *phaseRun) {
 	d.dropPreReserver(pr)
 	d.syncQueue(pr)
 	jr.phasesDone++
-	// The task set's manager lives exactly as long as its task set: every
-	// reader of jr.phases already skips completed phases.
-	jr.phases[pr.phase.ID] = nil
+	// The task set's manager is reachable exactly as long as its task set
+	// is schedulable. Its storage stays in the job's block until the job
+	// retires, so what it owned on the side goes now.
+	pr.open = false
+	pr.preferred, pr.prefSet, pr.taskPref, pr.prefBySlot, pr.pending = nil, nil, nil, nil, nil
+	pr.retryQ, pr.doneDurations = nil, nil
 
 	for _, child := range jr.job.Children(pr.phase.ID) {
-		jr.depsLeft[child]--
-		if jr.depsLeft[child] == 0 {
+		if jr.phases[child].depsLeft--; jr.phases[child].depsLeft == 0 {
 			d.submitPhase(jr, child)
 		}
 	}
@@ -411,7 +412,8 @@ func (d *Driver) reconcileReservations(jr *jobRun) {
 		return
 	}
 	need := 0
-	for _, pr := range jr.phases {
+	for i := range jr.phases {
+		pr := jr.schedulable(i)
 		if pr == nil || pr.tracker.Done() {
 			continue
 		}

@@ -61,12 +61,13 @@ func (d *Driver) dispatch() {
 		if jr == nil || jr.finished {
 			continue
 		}
-		for _, pr := range jr.phases {
+		for i := range jr.phases {
+			pr := jr.schedulable(i)
 			if pr == nil {
 				continue
 			}
 			for pr.placeable() {
-				slot, ok := d.cl.AcquireReservedFor(jobID, pr.demand)
+				slot, ok := d.cl.AcquireReservedFor(jobID, pr.phase.Demand)
 				if !ok {
 					break
 				}
@@ -92,7 +93,7 @@ func (d *Driver) serveOne(pr *phaseRun) bool {
 	// Preferred slots first (locality-constrained tasks).
 	if pr.queuedConstrained() > 0 {
 		for _, s := range pr.preferred {
-			if hasLocal(pr, s) && d.cl.TryAcquire(s, job.ID, job.Priority, pr.demand) {
+			if hasLocal(pr, s) && d.cl.TryAcquire(s, job.ID, job.Priority, pr.phase.Demand) {
 				idx, ok := pr.takeConstrainedFor(s)
 				if !ok {
 					break
@@ -103,7 +104,7 @@ func (d *Driver) serveOne(pr *phaseRun) bool {
 		}
 	}
 	// The job's own reserved slots.
-	if slot, ok := d.cl.AcquireReservedFor(job.ID, pr.demand); ok {
+	if slot, ok := d.cl.AcquireReservedFor(job.ID, pr.phase.Demand); ok {
 		if idx, local, ok := pr.nextTaskIdxFor(slot); ok {
 			d.assign(pr, idx, slot, local)
 			return true
@@ -116,7 +117,7 @@ func (d *Driver) serveOne(pr *phaseRun) bool {
 		return false
 	}
 	// Any free slot.
-	if slot, ok := d.cl.AcquireFree(pr.demand); ok {
+	if slot, ok := d.cl.AcquireFree(pr.phase.Demand); ok {
 		if idx, local, ok := pr.nextTaskIdxFor(slot); ok {
 			d.assign(pr, idx, slot, local)
 			return true
@@ -127,7 +128,7 @@ func (d *Driver) serveOne(pr *phaseRun) bool {
 		return false
 	}
 	// Override a strictly lower-priority reservation.
-	if slot, ok := d.cl.AcquireOverride(job.Priority, pr.demand); ok {
+	if slot, ok := d.cl.AcquireOverride(job.Priority, pr.phase.Demand); ok {
 		if idx, local, ok := pr.nextTaskIdxFor(slot); ok {
 			d.assign(pr, idx, slot, local)
 			return true
@@ -268,7 +269,7 @@ func (d *Driver) notifyWaiters(slot cluster.SlotID) {
 	}
 	pr := kept[best]
 	job := pr.jr.job
-	if hasLocal(pr, slot) && d.cl.TryAcquire(slot, job.ID, job.Priority, pr.demand) {
+	if hasLocal(pr, slot) && d.cl.TryAcquire(slot, job.ID, job.Priority, pr.phase.Demand) {
 		if idx, ok := pr.takeConstrainedFor(slot); ok {
 			d.assign(pr, idx, slot, true)
 		} else if err := d.cl.Release(slot); err != nil {

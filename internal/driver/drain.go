@@ -275,7 +275,7 @@ func (d *Driver) reviveSlots(revived []cluster.SlotID) {
 func (d *Driver) onAttemptPreempted(att *attempt) {
 	pr := att.pr
 	jr := pr.jr
-	task := &pr.tasks[att.taskIdx]
+	task := &pr.tasks()[att.taskIdx]
 	jr.running--
 	if task.orig == att {
 		task.orig = nil
@@ -300,11 +300,10 @@ func (d *Driver) onAttemptPreempted(att *attempt) {
 func (d *Driver) QueuedTasks() int {
 	n := 0
 	for _, jr := range d.live {
-		for _, pr := range jr.phases {
-			if pr == nil {
-				continue
+		for i := range jr.phases {
+			if pr := jr.schedulable(i); pr != nil {
+				n += pr.queued()
 			}
-			n += pr.queued()
 		}
 	}
 	return n

@@ -276,7 +276,7 @@ type Driver struct {
 
 	// activateArg, onFinishArg, dispatchTick, expireDeadlineArg and
 	// openLocalityArg are the long-lived callbacks behind
-	// sim.Engine.AtArg: created once here so the per-job, per-attempt,
+	// sim.Engine.AtArg/PostArg: created once here so the per-job, per-attempt,
 	// per-dispatch and per-phase schedule sites allocate no closure.
 	activateArg       func(any)
 	onFinishArg       func(any)
@@ -390,7 +390,7 @@ func (d *Driver) Submit(job *dag.Job) error {
 	jr.liveIdx = len(d.live)
 	d.live = append(d.live, jr)
 	d.jobsByID[job.ID] = jr
-	d.eng.AtArg(job.Submit, d.activateArg, jr)
+	d.eng.PostArg(job.Submit, d.activateArg, jr)
 	return nil
 }
 

@@ -230,14 +230,15 @@ func (d *Driver) Progress(id dag.JobID) (Progress, bool) {
 		Finished:     jr.finished,
 		Failed:       jr.stats.Failed,
 	}
-	for _, pr := range jr.phases {
+	for i := range jr.phases {
+		pr := jr.schedulable(i)
 		if pr == nil || pr.tracker.Done() {
 			continue
 		}
 		pp := PhaseProgress{
 			ID:         pr.phase.ID,
 			TasksDone:  pr.done,
-			Tasks:      len(pr.tasks),
+			Tasks:      pr.phase.Parallelism(),
 			Running:    pr.runningTasks,
 			DeadlineAt: -1,
 		}

@@ -166,8 +166,9 @@ func checkCausalOrder(t *testing.T, events []Event) {
 	}
 }
 
-// TestAbortBeforeActivation aborts a job whose arrival timer has not fired
-// yet; the later activation must not resurrect it.
+// TestAbortBeforeActivation aborts a job whose arrival event has not fired
+// yet; the later activation — posted, so not cancelable — must not resurrect
+// it, nor lay out the runtime blocks it never had.
 func TestAbortBeforeActivation(t *testing.T) {
 	eng := sim.New()
 	cl, err := cluster.New(2, 2)
@@ -189,6 +190,9 @@ func TestAbortBeforeActivation(t *testing.T) {
 	if err := d.Submit(job); err != nil {
 		t.Fatal(err)
 	}
+	if p, ok := d.Progress(9); !ok || p.Finished || len(p.Phases) != 0 || p.NumPhases != 1 || d.QueuedTasks() != 0 {
+		t.Errorf("before arrival: Progress %+v, %v; %d tasks queued", p, ok, d.QueuedTasks())
+	}
 	if err := d.Abort(9); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +203,9 @@ func TestAbortBeforeActivation(t *testing.T) {
 		if ev.Type == EventJobStart || ev.Type == EventAttemptStart {
 			t.Fatalf("aborted pending job emitted %v", ev.Type)
 		}
+	}
+	if jr := d.jobsByID[9]; eng.Now() != 10*time.Second || jr.phases != nil || jr.tasks != nil {
+		t.Errorf("activation at %v of an aborted job left phases=%v tasks=%v", eng.Now(), jr.phases, jr.tasks)
 	}
 	if got := cl.CountState(cluster.Busy); got != 0 {
 		t.Errorf("busy slots = %d, want 0", got)

@@ -166,7 +166,8 @@ func (d *Driver) FailNode(node int) error {
 // for data-local placements after their cached outputs were lost.
 func (d *Driver) evictSlotPrefs(slot cluster.SlotID) {
 	for _, jr := range d.live {
-		for _, pr := range jr.phases {
+		for i := range jr.phases {
+			pr := jr.schedulable(i)
 			if pr == nil {
 				continue
 			}
@@ -196,11 +197,11 @@ func (d *Driver) reissueTarget(res cluster.Reservation) *phaseRun {
 	reserving := func(pr *phaseRun) bool {
 		return pr != nil && !pr.tracker.Done() && !pr.tracker.DeadlineExpired()
 	}
-	if pr := jr.phases[res.Phase]; reserving(pr) {
+	if pr := jr.schedulable(res.Phase); reserving(pr) {
 		return pr
 	}
-	for _, pr := range jr.phases {
-		if reserving(pr) && !jr.job.IsFinal(pr.phase.ID) {
+	for i := range jr.phases {
+		if pr := jr.schedulable(i); reserving(pr) && !jr.job.IsFinal(i) {
 			return pr
 		}
 	}
@@ -216,7 +217,7 @@ func (d *Driver) reissueTarget(res cluster.Reservation) *phaseRun {
 func (d *Driver) onAttemptKilled(att *attempt) {
 	pr := att.pr
 	jr := pr.jr
-	task := &pr.tasks[att.taskIdx]
+	task := &pr.tasks()[att.taskIdx]
 	jr.running--
 	if task.orig == att {
 		task.orig = nil
@@ -252,7 +253,7 @@ func (d *Driver) onAttemptKilled(att *attempt) {
 // its backoff elapses. Retries skip the locality wait: it was already spent
 // on the first attempt, and the preferred slots may no longer exist.
 func (d *Driver) requeueTask(pr *phaseRun, idx int) {
-	if pr.jr.finished || pr.tasks[idx].done {
+	if pr.jr.finished || pr.tasks()[idx].done {
 		return
 	}
 	pr.retryQ = append(pr.retryQ, idx)
@@ -267,7 +268,8 @@ func (d *Driver) abortJob(jr *jobRun) {
 	d.finish(jr)
 	jr.stats.Failed = true
 	d.fc.JobsFailed++
-	for _, pr := range jr.phases {
+	for i := range jr.phases {
+		pr := jr.schedulable(i)
 		if pr == nil {
 			continue
 		}
@@ -282,8 +284,9 @@ func (d *Driver) abortJob(jr *jobRun) {
 		}
 		d.dropPreReserver(pr)
 		d.syncQueue(pr)
-		for i := range pr.tasks {
-			task := &pr.tasks[i]
+		tasks := pr.tasks()
+		for i := range tasks {
+			task := &tasks[i]
 			livea := false
 			for _, att := range []*attempt{task.orig, task.dup} {
 				if att == nil {

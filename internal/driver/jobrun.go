@@ -21,11 +21,13 @@ type jobRun struct {
 	d   *Driver
 	job *dag.Job
 
-	// phases is indexed by phase ID; an entry is non-nil exactly while the
-	// phase's task set is schedulable (barrier upstream cleared, its own
-	// not yet).
-	phases     []*phaseRun
-	depsLeft   []int
+	// phases and tasks are the job's whole runtime graph, laid out once at
+	// activation from the job's known shape: one phaseRun per phase, indexed
+	// by phase ID, and one taskState per task, each phase's run starting at
+	// its phaseRun.taskOff. Both are nil before activation and after retire.
+	// Readers reach a phase through schedulable, never by indexing.
+	phases     []phaseRun
+	tasks      []taskState
 	phasesDone int
 	running    int // busy slots currently held (originals + copies)
 	finished   bool
@@ -52,15 +54,7 @@ type jobRun struct {
 }
 
 func newJobRun(d *Driver, job *dag.Job) *jobRun {
-	jr := &jobRun{
-		d:        d,
-		job:      job,
-		phases:   make([]*phaseRun, job.NumPhases()),
-		depsLeft: make([]int, job.NumPhases()),
-	}
-	for _, p := range job.Phases() {
-		jr.depsLeft[p.ID] = len(p.Deps)
-	}
+	jr := &jobRun{d: d, job: job}
 	cfg := d.ssrConfig()
 	if job.Priority < d.opts.ReserveMinPriority {
 		cfg = core.Disabled()
@@ -76,17 +70,37 @@ func newJobRun(d *Driver, job *dag.Job) *jobRun {
 	return jr
 }
 
-// activate fires at the job's submission time. A job aborted before its
-// arrival (an online drain can do that) stays dead.
+// activate fires at the job's submission time: it lays out the job's two
+// runtime blocks (not at Submit — a batch run queues thousands of future
+// jobs) and submits the root phases. A job aborted before its arrival (an
+// online drain can do that) stays dead.
 func (jr *jobRun) activate() {
 	if jr.finished {
 		return
+	}
+	jr.phases = make([]phaseRun, jr.job.NumPhases())
+	jr.tasks = make([]taskState, jr.job.TotalTasks())
+	off := 0
+	for i, p := range jr.job.Phases() {
+		jr.phases[i] = phaseRun{jr: jr, phase: p, depsLeft: len(p.Deps), taskOff: off}
+		off += len(p.Tasks)
 	}
 	jr.d.emitJob(EventJobStart, jr)
 	for _, root := range jr.job.Roots() {
 		jr.d.submitPhase(jr, root)
 	}
 	jr.d.scheduleDispatch()
+}
+
+// schedulable returns phase id's runtime state while its task set is
+// schedulable (the barrier upstream of it cleared, its own not yet), and
+// nil otherwise: before, after, for a job that is not running, for an ID
+// the job does not have.
+func (jr *jobRun) schedulable(id int) *phaseRun {
+	if id < 0 || id >= len(jr.phases) || !jr.phases[id].open {
+		return nil
+	}
+	return &jr.phases[id]
 }
 
 // finish marks the job terminal at the current virtual time and takes it
@@ -109,9 +123,10 @@ func (d *Driver) finish(jr *jobRun) {
 // struct with its statistics — once the terminal event has been delivered
 // (an aborted job's in-flight phases are still readable through Progress
 // from inside that event). Late timers and loan resolutions that still
-// hold the jobRun find finished set and nothing to act on.
+// hold the jobRun find finished set and nothing to act on; one that still
+// holds a *phaseRun keeps the job's whole phase block alive until it fires.
 func (jr *jobRun) retire() {
-	jr.phases, jr.depsLeft, jr.loanGrants = nil, nil, nil
+	jr.phases, jr.tasks, jr.loanGrants = nil, nil, nil
 }
 
 // taskState tracks one task's attempts within a phase.
@@ -170,17 +185,22 @@ func (d *Driver) freeAttempt(att *attempt) {
 }
 
 // phaseRun is the runtime state of one phase (TaskSetManager role). It
-// implements sched.Item so the scheduling queue can order it.
+// implements sched.Item so the scheduling queue can order it. It is an
+// element of its job's phase block for the job's whole run; open says
+// whether its task set is currently schedulable.
 type phaseRun struct {
 	jr    *jobRun
 	phase *dag.Phase
 
-	tracker *core.PhaseTracker
+	// depsLeft counts upstream barriers still to clear; at zero the phase
+	// is submitted. taskOff is where the phase's tasks start in jr.tasks.
+	depsLeft int
+	taskOff  int
+
+	tracker core.PhaseTracker
 	start   sim.Time
-	// demand is the slot capacity each task of this phase needs;
 	// downDemand is the largest demand among direct downstream phases
 	// (what a reserved slot must fit to be worth holding, Sec. III-C).
-	demand     int
 	downDemand int
 
 	// Wide (shuffle-like) dependency: tasks with index below
@@ -190,10 +210,10 @@ type phaseRun struct {
 	prefSet     map[cluster.SlotID]bool
 	constrained int
 
-	// Narrow (one-to-one) dependency: task i prefers exactly the slot
-	// that produced upstream partition i (iterative jobs updating a
-	// cached RDD — the paper's Fig. 3a). All tasks are constrained.
-	narrow     bool
+	// Narrow (one-to-one) dependency, flagged by narrow: task i prefers
+	// exactly the slot that produced upstream partition i (iterative jobs
+	// updating a cached RDD — the paper's Fig. 3a). All tasks are
+	// constrained.
 	taskPref   []cluster.SlotID
 	prefBySlot map[cluster.SlotID][]int
 	pending    []bool
@@ -205,7 +225,6 @@ type phaseRun struct {
 	consQ, consHead int
 	freeQ, freeHead int
 
-	tasks        []taskState
 	runningTasks int
 	done         int
 
@@ -214,18 +233,28 @@ type phaseRun struct {
 	// general dispatch loop ahead of first-time tasks.
 	retryQ []int
 
-	localityOpen  bool
 	localityTimer *sim.Timer
 	deadlineTimer *sim.Timer
 	specTimer     *sim.Timer
 	doneDurations []time.Duration
 
+	preWant int
+
+	// The flags share one word: 384 bytes per phase is a size class, 392
+	// is not. open is set by submitPhase and cleared at the phase's own
+	// barrier (see jobRun.schedulable); loanPending marks an asynchronous
+	// Borrow in flight, so dispatch does not issue duplicate requests.
+	open           bool
+	narrow         bool
+	localityOpen   bool
 	inQueue        bool
-	preWant        int
 	inPreReservers bool
-	// loanPending marks an asynchronous Borrow in flight for this phase,
-	// so dispatch does not issue duplicate requests.
-	loanPending bool
+	loanPending    bool
+}
+
+// tasks returns the phase's slice of its job's task block.
+func (pr *phaseRun) tasks() []taskState {
+	return pr.jr.tasks[pr.taskOff : pr.taskOff+len(pr.phase.Tasks)]
 }
 
 var _ sched.Item = (*phaseRun)(nil)
@@ -250,7 +279,7 @@ func (pr *phaseRun) JobRunning() int { return pr.jr.running }
 func (pr *phaseRun) RemainingWork() time.Duration { return pr.jr.remaining }
 
 // TaskDemand reports the per-task slot demand (packing queue ordering).
-func (pr *phaseRun) TaskDemand() int { return pr.demand }
+func (pr *phaseRun) TaskDemand() int { return pr.phase.Demand }
 
 // preSize returns the slot capacity a pre-reservation for this phase's
 // downstream computation must have.
@@ -392,21 +421,14 @@ func (d *Driver) submitPhase(jr *jobRun, pid int) {
 	if job.ParallelismKnown {
 		n = job.DownstreamParallelism(pid)
 	}
-	tracker, err := core.NewPhaseTracker(jr.ssrCfg, m, n, job.IsFinal(pid))
-	if err != nil {
+	pr := &jr.phases[pid]
+	if err := pr.tracker.Init(jr.ssrCfg, m, n, job.IsFinal(pid)); err != nil {
 		// Options and job were validated up front; a failure here is
 		// a programming error worth surfacing loudly in simulation.
 		panic(fmt.Sprintf("driver: phase tracker for job %d phase %d: %v", job.ID, pid, err))
 	}
-
-	pr := &phaseRun{
-		jr:      jr,
-		phase:   phase,
-		tracker: tracker,
-		start:   d.eng.Now(),
-		tasks:   make([]taskState, m),
-		demand:  phase.Demand,
-	}
+	pr.open = true
+	pr.start = d.eng.Now()
 	for _, child := range job.Children(pid) {
 		if cd := job.Phase(child).Demand; cd > pr.downDemand {
 			pr.downDemand = cd
@@ -455,7 +477,6 @@ func (d *Driver) submitPhase(jr *jobRun, pid int) {
 		pr.freeQ = m - pr.constrained
 	}
 	pr.localityOpen = pr.queuedConstrained() == 0
-	jr.phases[pid] = pr
 	d.emitPhase(EventPhaseStart, pr)
 	if ad := d.opts.Adaptive; ad != nil {
 		ad.ObservePhase(jr.job.Tenant, jr.class, m)
@@ -512,7 +533,7 @@ func (d *Driver) placePreferred(pr *phaseRun) {
 		if pr.queuedConstrained() == 0 {
 			return
 		}
-		for hasLocal(pr, s) && d.cl.TryAcquire(s, job.ID, job.Priority, pr.demand) {
+		for hasLocal(pr, s) && d.cl.TryAcquire(s, job.ID, job.Priority, pr.phase.Demand) {
 			idx, ok := pr.takeConstrainedFor(s)
 			if !ok {
 				// Unreachable: hasLocal guarded it. Put the slot back.
@@ -571,7 +592,7 @@ func (d *Driver) assign(pr *phaseRun, idx int, slot cluster.SlotID, local bool) 
 	d.observePlacement(pr)
 	att := d.newAttempt(attempt{pr: pr, taskIdx: idx, local: local || !constrained, slot: slot, start: d.eng.Now()})
 	att.timer = d.eng.AfterArg(d.scaleDur(dur, slot), d.onFinishArg, att)
-	pr.tasks[idx].orig = att
+	pr.tasks()[idx].orig = att
 	d.slotOwner[slot] = att
 	pr.runningTasks++
 	jr.running++
@@ -590,7 +611,7 @@ func (d *Driver) launchCopy(pr *phaseRun, idx int, slot cluster.SlotID) {
 	task := pr.phase.Tasks[idx]
 	att := d.newAttempt(attempt{pr: pr, taskIdx: idx, isCopy: true, local: true, slot: slot, start: d.eng.Now()})
 	att.timer = d.eng.AfterArg(d.scaleDur(task.CopyDuration, slot), d.onFinishArg, att)
-	pr.tasks[idx].dup = att
+	pr.tasks()[idx].dup = att
 	d.slotOwner[slot] = att
 	jr.running++
 	jr.stats.CopiesLaunched++

@@ -126,10 +126,7 @@ func (d *Driver) ResolveLoan(job dag.JobID, phase int, granted int) {
 		}
 		return
 	}
-	var pr *phaseRun
-	if phase >= 0 && phase < len(jr.phases) {
-		pr = jr.phases[phase]
-	}
+	pr := jr.schedulable(phase)
 	if pr != nil {
 		pr.loanPending = false
 	}
@@ -178,7 +175,7 @@ func (d *Driver) serveLoan(pr *phaseRun) bool {
 	if d.opts.Lender == nil || jr.borrowed <= 0 {
 		return false
 	}
-	id, ok := d.opts.Lender.Consume(jr.job.ID, pr.demand)
+	id, ok := d.opts.Lender.Consume(jr.job.ID, pr.phase.Demand)
 	if !ok {
 		// Every recorded loan was stale; resynchronize the gauge.
 		jr.borrowed = 0
@@ -218,7 +215,7 @@ func (d *Driver) assignRemote(pr *phaseRun, idx int, loan LoanID, local bool) {
 	att := d.newAttempt(attempt{pr: pr, taskIdx: idx, local: local || !constrained,
 		slot: cluster.NoSlot, remote: true, loan: loan, start: d.eng.Now()})
 	att.timer = d.eng.AfterArg(dur, d.onFinishArg, att)
-	pr.tasks[idx].orig = att
+	pr.tasks()[idx].orig = att
 	pr.runningTasks++
 	jr.running++
 	jr.stats.RemoteTasks++

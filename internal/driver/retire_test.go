@@ -8,6 +8,8 @@ import (
 	"ssr/internal/core"
 	"ssr/internal/dag"
 	"ssr/internal/obs"
+	"ssr/internal/stats"
+	"ssr/internal/workload"
 )
 
 // forgetAtEnd returns an OnEvent hook that drops every job from the driver
@@ -28,37 +30,59 @@ func forgetAtEnd(t *testing.T, d **Driver) (func(Event), *[]dag.JobID) {
 
 // TestPhaseStateReleasedAtBarrier pins the lifetime rule: a phase's runtime
 // state is reachable from its job exactly while its task set is schedulable,
-// and a finished job keeps no per-phase storage at all.
+// both blocks appear at activation, and a finished job holds neither.
 func TestPhaseStateReleasedAtBarrier(t *testing.T) {
 	var d *Driver
 	live := map[int]bool{}
 	e := newEnv(t, 2, 2, Options{Mode: ModeSSR, SSR: core.DefaultConfig(), OnEvent: func(ev Event) {
 		jr := d.jobsByID[ev.Job]
 		switch ev.Type {
+		case EventJobStart:
+			if len(jr.phases) != 3 || len(jr.tasks) != 6 {
+				t.Errorf("activated job has %d phase and %d task records, want 3 and 6", len(jr.phases), len(jr.tasks))
+			}
 		case EventPhaseStart:
 			live[ev.Phase] = true
 		case EventPhaseDone:
 			// Still readable inside its own PhaseDone event, gone right after.
-			if jr.phases[ev.Phase] == nil {
+			if jr.schedulable(ev.Phase) == nil {
 				t.Errorf("phase %d released before its PhaseDone event", ev.Phase)
 			}
 			delete(live, ev.Phase)
 		case EventAttemptStart:
-			for pid, pr := range jr.phases {
+			for pid := -1; pid <= len(jr.phases); pid++ {
+				pr := jr.schedulable(pid)
 				if (pr != nil) != live[pid] {
 					t.Errorf("phase %d reachable=%v, schedulable=%v", pid, pr != nil, live[pid])
+				}
+				if pr != nil && (pr.phase.ID != pid || len(pr.tasks()) != pr.phase.Parallelism()) {
+					t.Errorf("phase %d resolves to phase %d with %d task records", pid, pr.phase.ID, len(pr.tasks()))
+				}
+			}
+			// A cleared barrier also dropped what the phase owned on the side.
+			for pid := range jr.phases {
+				if pr := &jr.phases[pid]; !pr.open && (pr.preferred != nil || pr.prefSet != nil ||
+					pr.taskPref != nil || pr.prefBySlot != nil || pr.pending != nil) {
+					t.Errorf("phase %d keeps its preference lists while not schedulable", pid)
 				}
 			}
 		}
 	}})
 	d = e.d
-	e.mustSubmit(t, chain(t, 1, "j", 5, []dag.PhaseSpec{
+	job := chain(t, 1, "j", 5, []dag.PhaseSpec{
 		{Durations: durations(1, 2)}, {Durations: durations(1, 1, 1)}, {Durations: durations(2)},
-	}))
-	e.mustRun(t)
+	}, dag.WithSubmit(sec(1)))
+	e.mustSubmit(t, job)
 	jr := e.d.jobsByID[1]
-	if jr.phases != nil || jr.depsLeft != nil || jr.loanGrants != nil {
-		t.Errorf("finished job keeps phases=%v depsLeft=%v loanGrants=%v", jr.phases, jr.depsLeft, jr.loanGrants)
+	if jr.phases != nil || jr.tasks != nil {
+		t.Error("runtime blocks allocated at Submit, before the job's arrival")
+	}
+	e.mustRun(t)
+	if jr.phases != nil || jr.tasks != nil || jr.loanGrants != nil {
+		t.Errorf("finished job keeps phases=%v tasks=%v loanGrants=%v", jr.phases, jr.tasks, jr.loanGrants)
+	}
+	if jr.schedulable(0) != nil {
+		t.Error("a finished job still resolves a phase")
 	}
 	if st, ok := e.d.Result(1); !ok || st.TasksRun != 6 || st.Job == nil {
 		t.Errorf("residue of a finished job = %+v, %v", st, ok)
@@ -159,6 +183,62 @@ func TestAbortedPhasesVisibleInsideTerminalEvent(t *testing.T) {
 	if len(inside.Phases) != 1 || inside.Phases[0].TasksDone != 1 || inside.Phases[0].Tasks != 3 ||
 		inside.Phases[0].Running != 0 || !inside.Failed {
 		t.Errorf("Progress inside EventJobFail = %+v", inside)
+	}
+	if jr := e.d.jobsByID[1]; jr.phases != nil || jr.tasks != nil {
+		t.Error("aborted job keeps its runtime blocks after its terminal event")
+	}
+	e.checkClean(t)
+}
+
+// returnLender is a SlotLender that grants nothing and records what comes
+// back, for driving ResolveLoan from outside.
+type returnLender struct{ returned [][3]int }
+
+func (l *returnLender) Borrow(LoanRequest) (int, bool)        { return 0, false }
+func (l *returnLender) Consume(dag.JobID, int) (LoanID, bool) { return LoanID{}, false }
+func (l *returnLender) Unconsume(LoanID)                      {}
+func (l *returnLender) Finish(LoanID)                         {}
+func (l *returnLender) Return(job dag.JobID, phase, max int) int {
+	l.returned = append(l.returned, [3]int{int(job), phase, max})
+	return 1
+}
+
+// TestResolveLoanAfterBarrierAndForget: an asynchronous grant that lands
+// after its phase's barrier cleared, for a phase the job never had, or after
+// the job was forgotten goes straight home and touches no job state.
+func TestResolveLoanAfterBarrierAndForget(t *testing.T) {
+	var d *Driver
+	lender := &returnLender{}
+	hook, _ := forgetAtEnd(t, &d)
+	e := newEnv(t, 1, 2, Options{Mode: ModeSSR, SSR: core.DefaultConfig(), Lender: lender, OnEvent: hook})
+	d = e.d
+	e.mustSubmit(t, chain(t, 1, "j", 5, []dag.PhaseSpec{{Durations: durations(1, 1)}, {Durations: durations(5)}}))
+	if err := e.eng.RunUntil(sec(2)); err != nil {
+		t.Fatal(err)
+	}
+	jr := e.d.jobsByID[1]
+	if jr.schedulable(0) != nil || jr.schedulable(1) == nil {
+		t.Fatal("at 2s phase 0 should be past its barrier and phase 1 running")
+	}
+	for _, phase := range []int{0, -1, 2, 99} {
+		e.d.ResolveLoan(1, phase, 1)
+	}
+	if jr.borrowed != 0 || jr.stats.BorrowedSlots != 0 {
+		t.Errorf("late grants were absorbed: borrowed=%d", jr.borrowed)
+	}
+	e.mustRun(t)
+	if _, ok := e.d.Result(1); ok {
+		t.Fatal("job was not forgotten at its terminal event")
+	}
+	e.d.ResolveLoan(1, 1, 1)
+	want := [][3]int{{1, 0, -1}, {1, -1, -1}, {1, 2, -1}, {1, 99, -1}, {1, 1, -1}}
+	if len(lender.returned) != len(want) {
+		t.Fatalf("lender got %v back, want %v", lender.returned, want)
+	}
+	for i := range want {
+		if lender.returned[i] != want[i] {
+			t.Errorf("return %d = %v, want %v", i, lender.returned[i], want[i])
+		}
 	}
 	e.checkClean(t)
 }
@@ -281,5 +361,64 @@ func TestFinishedJobsCostAFixedResidue(t *testing.T) {
 	// should cost nothing. The slack absorbs allocator and free-list noise.
 	if perJob > 64 {
 		t.Errorf("driver keeps %.0f B per finished-and-forgotten job", perJob)
+	}
+}
+
+// TestBareCellAllocatesPerJob is the allocation guard for the driver's own
+// per-job cost: a quick-scale Sec. VI-B cell — 100 nodes, the ML and SQL
+// foreground suites over 400 background jobs, SSR for the foreground, no
+// sink attached — from engine construction to the end of Run. What a job
+// costs here is its jobRun, its two runtime blocks, and the locality and
+// preference records of its multi-phase share; the per-phase records it
+// replaced (a phaseRun, a tracker and a task table per phase, two index
+// slices per job, a never-released activation timer) cost 21.86 per job
+// on this cell where the flat layout costs 13.51 (at full scale, 14.4 and 8.2).
+func TestBareCellAllocatesPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	const fgPriority, bgPriority = 10, 1
+	var cell []*dag.Job
+	at := 150 * time.Second
+	for i, spec := range workload.MLSuite() {
+		j, err := spec.Build(dag.JobID(len(cell)+1), fgPriority, at, stats.SubStream(606, "fg-"+spec.Name, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell = append(cell, j)
+		at += 20 * time.Second
+	}
+	for i, q := range workload.SQLQueries(1) {
+		j, err := q.Build(dag.JobID(len(cell)+1), fgPriority, at, stats.SubStream(606, "fg-"+q.Name, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell = append(cell, j)
+		at += 10 * time.Second
+	}
+	bg, err := workload.Background(workload.BackgroundConfig{
+		Jobs: 400, Window: 10 * time.Minute, MeanTask: 50 * time.Second,
+		Alpha: 1.6, DurationScale: 1, MaxParallelism: 60,
+	}, 10000, bgPriority, stats.Stream(606, "bg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell = append(cell, bg...)
+
+	run := func() float64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		e := newEnv(t, 100, 4, Options{Mode: ModeSSR, SSR: core.DefaultConfig(), ReserveMinPriority: fgPriority})
+		e.mustSubmit(t, cell...)
+		e.mustRun(t)
+		runtime.ReadMemStats(&m1)
+		e.checkClean(t)
+		return float64(m1.Mallocs-m0.Mallocs) / float64(len(cell))
+	}
+	run() // warm the allocator's size classes off the count
+	perJob := run()
+	t.Logf("%d jobs: %.2f mallocs per job", len(cell), perJob)
+	if perJob > 14.9 {
+		t.Errorf("a bare cell costs %.2f mallocs per job, want <= 14.9", perJob)
 	}
 }

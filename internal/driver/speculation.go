@@ -95,7 +95,7 @@ func (d *Driver) stopSpeculation(pr *phaseRun) {
 // onto free slots.
 func (d *Driver) speculateOnce(pr *phaseRun) {
 	cfg := d.opts.Speculation
-	m := len(pr.tasks)
+	m := pr.phase.Parallelism()
 	if pr.done == 0 || float64(pr.done)/float64(m) < cfg.Quantile {
 		return
 	}
@@ -107,15 +107,14 @@ func (d *Driver) speculateOnce(pr *phaseRun) {
 	median := sorted[len(sorted)/2]
 	threshold := time.Duration(float64(median) * cfg.Multiplier)
 	now := d.eng.Now()
-	for idx := range pr.tasks {
-		task := &pr.tasks[idx]
+	for idx, task := range pr.tasks() {
 		if task.done || task.orig == nil || task.dup != nil {
 			continue
 		}
 		if now-task.orig.start <= threshold {
 			continue
 		}
-		slot, ok := d.cl.AcquireFree(pr.demand)
+		slot, ok := d.cl.AcquireFree(pr.phase.Demand)
 		if !ok {
 			return // no capacity; retry next scan
 		}
@@ -144,7 +143,7 @@ func (d *Driver) launchSpecCopy(pr *phaseRun, idx int, slot cluster.SlotID) {
 	}
 	att := d.newAttempt(attempt{pr: pr, taskIdx: idx, isCopy: true, local: local, slot: slot, start: d.eng.Now()})
 	att.timer = d.eng.AfterArg(d.scaleDur(dur, slot), d.onFinishArg, att)
-	pr.tasks[idx].dup = att
+	pr.tasks()[idx].dup = att
 	d.slotOwner[slot] = att
 	jr.running++
 	jr.stats.CopiesLaunched++

@@ -12,6 +12,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ssr/internal/dag"
@@ -86,6 +87,7 @@ func (s JobSpec) Validate() error {
 	if !validTenantName(s.Tenant) {
 		return fmt.Errorf("service: job %q tenant %q must match [a-zA-Z0-9_-]", s.Name, s.Tenant)
 	}
+	var work time.Duration // total serial work so far
 	for i, ph := range s.Phases {
 		if len(ph.DurationsMs) == 0 {
 			return fmt.Errorf("service: job %q phase %d has no tasks", s.Name, i)
@@ -95,8 +97,16 @@ func (s JobSpec) Validate() error {
 				s.Name, i, len(ph.CopyDurationsMs), len(ph.DurationsMs))
 		}
 		for _, ms := range ph.DurationsMs {
-			if ms <= 0 {
-				return fmt.Errorf("service: job %q phase %d has a non-positive task duration", s.Name, i)
+			if why := badMs(ms, "task duration"); why != "" {
+				return fmt.Errorf("service: job %q phase %d has a %s", s.Name, i, why)
+			}
+			if work += durOf(ms); work < 0 {
+				return fmt.Errorf("service: job %q is too large: its total task duration overflows at phase %d", s.Name, i)
+			}
+		}
+		for _, ms := range ph.CopyDurationsMs {
+			if why := badMs(ms, "copy duration"); why != "" {
+				return fmt.Errorf("service: job %q phase %d has a %s", s.Name, i, why)
 			}
 		}
 		for _, dep := range ph.Deps {
@@ -108,30 +118,47 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// build constructs the immutable dag.Job for an admitted spec. The full
-// DAG validation (acyclicity, positive durations) happens in dag.NewJob.
+// badMs says why durOf(ms) would not be a positive time.Duration, or ""
+// when it is one. Past the largest Duration the float-to-integer conversion
+// is implementation-defined (amd64 yields the most negative value, arm64
+// saturates), so such a value must never reach durOf.
+func badMs(ms float64, what string) string {
+	switch {
+	case !(ms > 0): // NaN included
+		return "non-positive " + what
+	case ms*float64(time.Millisecond) >= math.MaxInt64: // the constant rounds to 2^63; +Inf included
+		return what + " too large to schedule"
+	}
+	return ""
+}
+
+// build constructs the immutable dag.Job for a validated spec, converting
+// wire milliseconds straight into the job's own task block: the job shares
+// no storage with the spec. The full DAG validation (acyclicity, positive
+// durations) happens in the dag.Builder.
 func (s JobSpec) build(id dag.JobID, submit time.Duration) (*dag.Job, error) {
-	specs := make([]dag.PhaseSpec, len(s.Phases))
-	for i, ph := range s.Phases {
-		ds := make([]time.Duration, len(ph.DurationsMs))
-		for j, ms := range ph.DurationsMs {
-			ds[j] = durOf(ms)
+	tasks, deps := 0, 0
+	for i := range s.Phases {
+		tasks += len(s.Phases[i].DurationsMs)
+		deps += len(s.Phases[i].Deps)
+	}
+	b := dag.NewBuilder(id, s.Name, dag.Priority(s.Priority), len(s.Phases), tasks, deps)
+	for i := range s.Phases {
+		ph := &s.Phases[i]
+		copies := ph.CopyDurationsMs
+		if len(copies) != len(ph.DurationsMs) {
+			copies = nil // Validate admits only none or one per task
 		}
-		var cs []time.Duration
-		if len(ph.CopyDurationsMs) > 0 {
-			cs = make([]time.Duration, len(ph.CopyDurationsMs))
-			for j, ms := range ph.CopyDurationsMs {
-				cs[j] = durOf(ms)
+		ts := b.AddPhase(len(ph.DurationsMs), ph.Deps, ph.Demand)
+		for j := range ts {
+			ts[j].Duration = durOf(ph.DurationsMs[j])
+			ts[j].CopyDuration = ts[j].Duration
+			if copies != nil {
+				ts[j].CopyDuration = durOf(copies[j])
 			}
 		}
-		specs[i] = dag.PhaseSpec{
-			Durations:     ds,
-			CopyDurations: cs,
-			Deps:          append([]int(nil), ph.Deps...),
-			Demand:        ph.Demand,
-		}
 	}
-	job, err := dag.NewJob(id, s.Name, dag.Priority(s.Priority), specs)
+	job, err := b.Job()
 	if err != nil {
 		return nil, err
 	}

@@ -344,3 +344,51 @@ func TestListPageCursor(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAllocatesPerJobNotPerPhase is the allocation guard for the whole
+// online path: the benchmark's 80/20 job mix through Service.Submit at
+// dilation 1e6, every job run to completion and drained, may cost at most 17
+// heap allocations per job (15.2 measured; 31.6 before a job's graph and its
+// runtime were each laid out in one piece). What is left is per job, not per
+// phase: five for the dag.Job, the jobEntry, the jobRun and its two blocks,
+// and the per-event costs of the bus, audit and metrics sinks.
+func TestSubmitAllocatesPerJobNotPerPhase(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	const warm, jobs = 5000, 20000
+	svc := newTestService(t, Config{
+		Nodes:           64,
+		SlotsPerNode:    4,
+		Dilation:        1e6,
+		BaselineWorkers: -1,
+		Driver:          ssrOptions(),
+	})
+	specs := make([]JobSpec, 1024)
+	for i := range specs {
+		specs[i] = onlineMixSpec(i)
+	}
+	submit := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if _, err := svc.Submit(specs[i%len(specs)]); err != nil {
+				t.Fatalf("Submit %d: %v", i, err)
+			}
+		}
+	}
+	submit(0, warm)
+	waitTerminal(t, svc, warm)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	submit(warm, jobs)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if aborted, err := svc.Drain(ctx); err != nil || aborted != 0 {
+		t.Fatalf("Drain: aborted %d, err %v", aborted, err)
+	}
+	runtime.ReadMemStats(&m1)
+	perJob := float64(m1.Mallocs-m0.Mallocs) / jobs
+	t.Logf("%.2f mallocs per job", perJob)
+	if perJob > 17 {
+		t.Errorf("the online path costs %.2f mallocs per job, want <= 17", perJob)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +119,106 @@ func TestJobSpecBuildSetsJobAttributes(t *testing.T) {
 			t.Errorf("%+v: built Submit=%v Class=%v ParallelismKnown=%v Tenant=%q",
 				tc, job.Submit, job.Class, job.ParallelismKnown, job.Tenant)
 		}
+	}
+}
+
+// TestBuiltJobDoesNotAliasItsSpec: build converts straight into the job's own
+// blocks, so a caller that reuses or rewrites its spec changes nothing in a
+// job already admitted.
+func TestBuiltJobDoesNotAliasItsSpec(t *testing.T) {
+	mk := func() JobSpec {
+		return JobSpec{Name: "alias", Priority: 3, Phases: []PhaseSpec{
+			{DurationsMs: []float64{10, 20}, CopyDurationsMs: []float64{30, 40}},
+			{DurationsMs: []float64{50}, Deps: []int{0, 0}, Demand: 2},
+			{DurationsMs: []float64{60, 70}, Deps: []int{1, 0}},
+		}}
+	}
+	spec := mk()
+	job, err := spec.build(1, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range spec.Phases {
+		ph := &spec.Phases[i]
+		for k := range ph.DurationsMs {
+			ph.DurationsMs[k] = -1
+		}
+		for k := range ph.CopyDurationsMs {
+			ph.CopyDurationsMs[k] = -1
+		}
+		for k := range ph.Deps {
+			ph.Deps[k] = 99
+		}
+		*ph = PhaseSpec{}
+	}
+	if got, want := SpecOf(job), SpecOf(mustBuild(t, mk())); !reflect.DeepEqual(got, want) {
+		t.Errorf("job changed with its spec:\n got %+v\nwant %+v", got, want)
+	}
+	if got := job.Phase(1).Deps; len(got) != 1 || got[0] != 0 || job.Phase(0).Tasks[1].CopyDuration != 40*time.Millisecond {
+		t.Errorf("built job: phase 1 deps %v, phase 0 task 1 copy %v", got, job.Phase(0).Tasks[1].CopyDuration)
+	}
+}
+
+func mustBuild(t *testing.T, spec JobSpec) *dag.Job {
+	t.Helper()
+	job, err := spec.build(1, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// TestDurationsThatDoNotFitAreRefused: a wire duration that is not a
+// positive number, does not fit a time.Duration, or brings the job's total
+// serial work past one is refused by name at admission. Before, 5e12 twice
+// was admitted with a serial work of minus 267 years, and 1e16 was refused
+// only because amd64 happens to convert it to a negative number.
+func TestDurationsThatDoNotFitAreRefused(t *testing.T) {
+	svc := newTestService(t, Config{Nodes: 1, SlotsPerNode: 2, Dilation: 1e6})
+	// The largest wire value whose nanoseconds still round below 2^63.
+	largest := math.Nextafter(math.MaxInt64/1e6, 0)
+	for largest*1e6 >= math.MaxInt64 {
+		largest = math.Nextafter(largest, 0)
+	}
+	one := func(ms ...float64) []PhaseSpec { return []PhaseSpec{{DurationsMs: ms}} }
+	for _, tc := range []struct {
+		name    string
+		phases  []PhaseSpec
+		wantErr string // "" admits
+	}{
+		{"NaN", one(math.NaN()), `job "x" phase 0 has a non-positive task duration`},
+		{"-Inf", one(math.Inf(-1)), `job "x" phase 0 has a non-positive task duration`},
+		{"+Inf", one(math.Inf(1)), `job "x" phase 0 has a task duration too large`},
+		{"1e16", one(1e16), `job "x" phase 0 has a task duration too large`},
+		{"9.3e12", one(9.3e12), `job "x" phase 0 has a task duration too large`},
+		{"just past the largest", one(math.Nextafter(largest, math.Inf(1))), `phase 0 has a task duration too large`},
+		{"two tasks that overflow together", one(5e12, 5e12), `job "x" is too large: its total task duration overflows at phase 0`},
+		{"two phases that overflow together", []PhaseSpec{{DurationsMs: []float64{5e12}}, {DurationsMs: []float64{1, 5e12}, Deps: []int{0}}},
+			`job "x" is too large: its total task duration overflows at phase 1`},
+		{"copy NaN", []PhaseSpec{{DurationsMs: []float64{1}, CopyDurationsMs: []float64{math.NaN()}}}, `job "x" phase 0 has a non-positive copy duration`},
+		{"copy 1e16", []PhaseSpec{{DurationsMs: []float64{1}, CopyDurationsMs: []float64{1e16}}}, `job "x" phase 0 has a copy duration too large`},
+		{"the largest that fits", one(largest), ""},
+		{"the largest that fits, as a copy", []PhaseSpec{{DurationsMs: []float64{1}, CopyDurationsMs: []float64{largest}}}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := JobSpec{Name: "x", Priority: 1, Phases: tc.phases}
+			if tc.wantErr != "" {
+				// Through Submit: NaN and the infinities have no JSON form.
+				if _, err := svc.Submit(spec); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Submit: %v, want an error containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			// Validated and built but not run: the job would hold a slot
+			// for 292 virtual years.
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+			job := mustBuild(t, spec)
+			if work := job.SerialWork(); work <= 0 || job.Phase(0).Tasks[0].CopyDuration <= 0 {
+				t.Errorf("admitted job has serial work %v, copy duration %v", work, job.Phase(0).Tasks[0].CopyDuration)
+			}
+		})
 	}
 }
 

@@ -61,6 +61,8 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 		{"submit bad json", "POST", "/v1/jobs", "{not json", http.StatusBadRequest, CodeInvalidArgument},
 		{"submit invalid spec", "POST", "/v1/jobs", `{"name":"x"}`, http.StatusBadRequest, CodeInvalidArgument},
 		{"submit bad tenant name", "POST", "/v1/jobs", `{"name":"x","tenant":"no spaces","phases":[{"durationsMs":[1]}]}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit duration too large", "POST", "/v1/jobs", `{"name":"x","phases":[{"durationsMs":[1e16]}]}`, http.StatusBadRequest, CodeInvalidArgument},
+		{"submit total duration too large", "POST", "/v1/jobs", `{"name":"x","phases":[{"durationsMs":[5e12,5e12]}]}`, http.StatusBadRequest, CodeInvalidArgument},
 		{"list bad limit", "GET", "/v1/jobs?limit=abc", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"list negative limit", "GET", "/v1/jobs?limit=-2", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"list bad after", "GET", "/v1/jobs?after=xyz", "", http.StatusBadRequest, CodeInvalidArgument},

@@ -41,7 +41,7 @@ type Timer struct {
 	// until popped, so recycling must wait for inq to clear.
 	inq bool
 	// release marks the timer for return to the engine's free list as
-	// soon as it leaves the heap (see Engine.Release).
+	// soon as it leaves the heap (see Engine.Release and Engine.PostArg).
 	release bool
 }
 
@@ -148,6 +148,15 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Timer {
 	return tm
 }
 
+// PostArg schedules fn(arg) like AtArg but hands out no handle: the event
+// cannot be canceled, and its storage returns to the free list the moment
+// it fires — ahead of the callback, whose own first AtArg reuses it. It is
+// for fire-and-forget events whose scheduler would only drop the handle,
+// leaving a Timer nobody can ever Release.
+func (e *Engine) PostArg(t Time, fn func(any), arg any) {
+	e.AtArg(t, fn, arg).release = true
+}
+
 // AfterArg schedules fn(arg) to run d after the current virtual time,
 // clamping negative delays to zero. See AtArg.
 func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) *Timer {
@@ -180,8 +189,22 @@ func (e *Engine) Release(t *Timer) {
 	}
 }
 
-// recycle resets a timer that is out of the heap and shelves it for reuse.
+// freeSlack is how far the free list may outgrow the pending queue.
+const freeSlack = 64
+
+// recycle resets a timer that is out of the heap and shelves it for reuse —
+// unless the free list already holds more timers than there are pending
+// events to replace. Then this timer and one off the list go to the garbage
+// collector instead, so the list follows a draining queue down: a burst of
+// events scheduled up front (a batch run posts every job's activation
+// before it starts) would otherwise stay parked here for the life of the
+// engine.
 func (e *Engine) recycle(t *Timer) {
+	if n := len(e.free); n > len(e.queue)+freeSlack {
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return
+	}
 	*t = Timer{}
 	e.free = append(e.free, t)
 }
@@ -276,6 +299,9 @@ func (e *Engine) Step() bool {
 		tm.fn = nil
 		tm.fnArg = nil
 		tm.arg = nil
+		if tm.release {
+			e.recycle(tm) // posted event (PostArg): nobody holds the handle
+		}
 		e.stepped++
 		if fn != nil {
 			fn()

@@ -179,3 +179,118 @@ func TestAtArgAllocFree(t *testing.T) {
 		t.Fatalf("schedule/fire/release cycle allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestPostArgFiresOnceInFIFOOrder: a posted event is an ordinary event to
+// the queue — same clamp, same (time, sequence) order among same-instant
+// AtArg events, counted by Pending — that fires exactly once.
+func TestPostArgFiresOnceInFIFOOrder(t *testing.T) {
+	e := New()
+	var got []int
+	record := func(a any) { got = append(got, a.(int)) }
+	e.AtArg(time.Second, record, 1)
+	e.PostArg(time.Second, record, 2)
+	e.AtArg(time.Second, record, 3)
+	e.PostArg(time.Second, record, 4)
+	e.PostArg(-time.Second, record, 0) // past: clamped to now, so first
+	if got := e.Pending(); got != 5 {
+		t.Fatalf("Pending() = %d with five events scheduled, want 5", got)
+	}
+	for e.Step() {
+	}
+	if len(got) != 5 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 || got[4] != 4 {
+		t.Fatalf("events fired as %v, want [0 1 2 3 4]", got)
+	}
+	if e.Pending() != 0 || e.Events() != 5 || e.Now() != time.Second {
+		t.Fatalf("after the drain: Pending %d, Events %d, Now %v", e.Pending(), e.Events(), e.Now())
+	}
+}
+
+// TestPostArgStorageIsReusedOnFire: the posted timer is back on the free
+// list before its own callback runs, so the callback's first AtArg takes it
+// and a post-fire-post cycle allocates nothing.
+func TestPostArgStorageIsReusedOnFire(t *testing.T) {
+	e := New()
+	var inside *Timer
+	e.PostArg(time.Second, func(any) {
+		if len(e.free) != 1 {
+			t.Errorf("free list has %d timers inside the posted callback, want 1", len(e.free))
+		}
+		posted := e.free[0]
+		if inside = e.AtArg(2*time.Second, func(any) {}, nil); inside != posted {
+			t.Error("AtArg inside the callback did not reuse the posted event's storage")
+		}
+	}, nil)
+	e.Step()
+	if inside == nil || !inside.Live() || inside.At() != 2*time.Second || inside.release {
+		t.Fatalf("reused timer carries stale state: %+v", inside)
+	}
+	e.Step()
+	e.Release(inside)
+	sink := func(any) {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.PostArg(e.Now()+time.Millisecond, sink, nil)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("post/fire cycle allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestPostedEventsSurviveCompaction: canceling enough AtArg timers to
+// compact the heap must neither drop nor double-fire the posted events
+// sharing it, and Pending stays exact throughout.
+func TestPostedEventsSurviveCompaction(t *testing.T) {
+	e := New()
+	fired := 0
+	count := func(any) { fired++ }
+	var doomed []*Timer
+	for i := 0; i < 2*compactMin; i++ {
+		e.PostArg(Time(i)*time.Millisecond, count, nil)
+		doomed = append(doomed, e.AtArg(Time(i)*time.Millisecond, count, nil))
+		doomed = append(doomed, e.AtArg(Time(i)*time.Millisecond, count, nil))
+	}
+	for _, tm := range doomed {
+		tm.Cancel()
+		e.Release(tm)
+	}
+	if got := e.Pending(); got != 2*compactMin {
+		t.Fatalf("Pending() = %d after the cancels, want %d", got, 2*compactMin)
+	}
+	if len(e.queue) >= 3*2*compactMin {
+		t.Fatalf("heap never compacted: %d entries", len(e.queue))
+	}
+	for e.Step() {
+	}
+	if fired != 2*compactMin || e.Pending() != 0 {
+		t.Fatalf("fired %d posted events (Pending %d), want %d", fired, e.Pending(), 2*compactMin)
+	}
+}
+
+// TestFreeListCannotOutgrowTheQueue posts a batch run's worth of events up
+// front and drains them: without the cap every fired timer would park on
+// the free list for the life of the engine.
+func TestFreeListCannotOutgrowTheQueue(t *testing.T) {
+	e := New()
+	const posts = 10000
+	for i := 0; i < posts; i++ {
+		e.PostArg(Time(i)*time.Millisecond, func(any) {}, nil)
+	}
+	for e.Step() {
+		if len(e.free) > len(e.queue)+freeSlack+1 {
+			t.Fatalf("free list %d with %d events pending", len(e.free), len(e.queue))
+		}
+	}
+	if e.Events() != posts {
+		t.Fatalf("fired %d events, want %d", e.Events(), posts)
+	}
+	if len(e.free) > freeSlack+1 {
+		t.Fatalf("free list holds %d timers after the drain, want at most %d", len(e.free), freeSlack+1)
+	}
+	// The cap only sheds surplus: what stays is still handed out again.
+	kept := len(e.free)
+	tm := e.AtArg(e.Now(), func(any) {}, nil)
+	if len(e.free) != kept-1 {
+		t.Fatalf("AtArg after the drain took nothing off the free list (%d -> %d)", kept, len(e.free))
+	}
+	e.Step()
+	e.Release(tm)
+}
