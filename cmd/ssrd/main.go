@@ -239,7 +239,9 @@ func run(args []string, sigC <-chan os.Signal, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: service.NewHandler(svc)}
+	// Only the header read is bounded: ReadTimeout/WriteTimeout would cut
+	// /v1/events streams and IdleTimeout races clients' idle keep-alives.
+	srv := &http.Server{Handler: service.NewHandler(svc), ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("ssrd: listening on %s (%s)\n", ln.Addr(), svc)
@@ -254,7 +256,7 @@ func run(args []string, sigC <-chan os.Signal, ready func(addr string)) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 
-	// Drain: admission off (POST /jobs answers 503), in-flight jobs get
+	// Drain: admission off (POST /v1/jobs answers 503), in-flight jobs get
 	// the grace, stragglers are aborted. Reads and the event stream stay
 	// up throughout so clients observe the abort events.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)

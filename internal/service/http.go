@@ -18,6 +18,7 @@ const (
 	CodeInvalidArgument = "invalid_argument"
 	CodeNotFound        = "not_found"
 	CodeQuotaExhausted  = "quota_exhausted"
+	CodePayloadTooLarge = "payload_too_large"
 	CodeDraining        = "draining"
 	CodeUnavailable     = "unavailable"
 	CodeInternal        = "internal"
@@ -49,11 +50,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeError renders err through the uniform envelope, deriving status,
 // code and backpressure advice from its type: quota rejections become
-// 429 with a Retry-After header, drains 503, unknown IDs stay whatever
-// the handler passed.
+// 429 with a Retry-After header, drains 503, a body past maxBodyBytes 413,
+// unknown IDs stay whatever the handler passed.
 func writeError(w http.ResponseWriter, status int, err error) {
 	info := ErrorInfo{Message: err.Error()}
-	var qe *tenant.QuotaError
+	var (
+		qe       *tenant.QuotaError
+		tooLarge *http.MaxBytesError
+	)
 	switch {
 	case errors.As(err, &qe):
 		status = http.StatusTooManyRequests
@@ -72,6 +76,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	case errors.Is(err, realtime.ErrStopped):
 		status = http.StatusServiceUnavailable
 		info.Code = CodeUnavailable
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
+		info.Code = CodePayloadTooLarge
 	default:
 		switch status {
 		case http.StatusBadRequest:
@@ -91,7 +98,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //
 //	POST /v1/jobs           admit a JobSpec (optional "tenant" field);
 //	                        201 with the initial JobStatus, 429 with
-//	                        Retry-After on quota rejection
+//	                        Retry-After on quota rejection, 413 for a
+//	                        body over 1 MiB
 //	GET  /v1/jobs           paginated job list: ?limit=N&after=ID and
 //	                        ?tenant= filtering; returns {"jobs", "nextAfter"}
 //	GET  /v1/jobs/{id}      one job's status
@@ -113,28 +121,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //	GET  /v1/healthz        liveness
 //
 // Every error response is the uniform envelope
-// {"error": {"code", "message", "retry_after_ms"}}. The unversioned
-// routes of earlier releases remain as deprecated aliases (marked with a
-// Deprecation response header) for one release; GET /jobs keeps its
-// legacy bare-array shape, everything else matches v1 exactly.
+// {"error": {"code", "message", "retry_after_ms"}}.
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
-	// handle registers one route at its v1 path and, when legacyPattern
-	// is non-empty, at the legacy unversioned path with a Deprecation
-	// marker (draft-ietf-httpapi-deprecation-header).
-	handle := func(v1Pattern, legacyPattern string, h http.HandlerFunc) {
-		mux.HandleFunc(v1Pattern, h)
-		if legacyPattern != "" {
-			mux.HandleFunc(legacyPattern, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", "true")
-				h(w, r)
-			})
-		}
-	}
-
-	handle("POST /v1/jobs", "POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		s := getScratch()
+		defer s.release()
+		spec, err := s.readJobSpec(w, r)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
 			return
 		}
@@ -143,9 +137,9 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, st)
+		s.writeJobStatus(w, http.StatusCreated, &st)
 	})
-	handle("GET /v1/jobs", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		limit := 0
 		if v := q.Get("limit"); v != "" {
@@ -170,19 +164,11 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, list)
+		s := getScratch()
+		defer s.release()
+		s.writeJobList(w, http.StatusOK, &list)
 	})
-	// Legacy GET /jobs keeps the bare-array body earlier clients parse.
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		list, err := svc.List()
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, list)
-	})
-	handle("GET /v1/jobs/{id}", "GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
@@ -195,13 +181,15 @@ func NewHandler(svc *Service) http.Handler {
 		case !found:
 			writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
 		default:
-			writeJSON(w, http.StatusOK, st)
+			s := getScratch()
+			defer s.release()
+			s.writeJobStatus(w, http.StatusOK, &st)
 		}
 	})
-	handle("GET /v1/tenants", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.TenantStatuses())
 	})
-	handle("GET /v1/tenants/{id}", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/tenants/{id}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("id")
 		for _, ts := range svc.TenantStatuses() {
 			if ts.Name == name {
@@ -211,7 +199,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("no tenant %q", name))
 	})
-	handle("GET /v1/cluster", "GET /cluster", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
 		cs, err := svc.Cluster()
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -219,7 +207,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, cs)
 	})
-	handle("GET /v1/nodes", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
 		ns, err := svc.Nodes()
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -244,7 +232,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		return shard, node, true
 	}
-	handle("POST /v1/nodes/{id}/drain", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/nodes/{id}/drain", func(w http.ResponseWriter, r *http.Request) {
 		shard, node, ok := nodeTarget(w, r)
 		if !ok {
 			return
@@ -264,7 +252,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 	})
-	handle("POST /v1/nodes/{id}/undrain", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/nodes/{id}/undrain", func(w http.ResponseWriter, r *http.Request) {
 		shard, node, ok := nodeTarget(w, r)
 		if !ok {
 			return
@@ -275,7 +263,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "up"})
 	})
-	handle("GET /v1/metrics", "GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("format") {
 		case "prometheus":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -294,7 +282,7 @@ func NewHandler(svc *Service) http.Handler {
 				fmt.Errorf("unknown metrics format %q", r.URL.Query().Get("format")))
 		}
 	})
-	handle("GET /v1/trace", "GET /trace", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
 		rec := svc.Trace()
 		if rec == nil {
 			writeError(w, http.StatusNotFound,
@@ -316,7 +304,7 @@ func NewHandler(svc *Service) http.Handler {
 				fmt.Errorf("unknown trace format %q", r.URL.Query().Get("format")))
 		}
 	})
-	handle("GET /v1/audit", "GET /audit", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
 		audit := svc.Audit()
 		if audit == nil {
 			writeError(w, http.StatusNotFound,
@@ -326,7 +314,7 @@ func NewHandler(svc *Service) http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = audit.WriteJSONL(w)
 	})
-	handle("GET /v1/estimators", "", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/estimators", func(w http.ResponseWriter, r *http.Request) {
 		est := svc.Estimators()
 		if est == nil {
 			writeError(w, http.StatusNotFound,
@@ -335,10 +323,10 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, EstimatorList{Classes: est.Snapshot()})
 	})
-	handle("GET /v1/healthz", "GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handle("GET /v1/events", "GET /events", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/events", func(w http.ResponseWriter, r *http.Request) {
 		serveEvents(svc, w, r)
 	})
 	return mux
@@ -373,8 +361,15 @@ func serveEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	for _, ev := range replay {
-		if err := writeSSE(w, ev); err != nil {
+	var frame []byte // this connection's, reused for every event
+	send := func(ev *Event) (err error) {
+		if frame, err = appendSSE(frame[:0], ev); err == nil {
+			_, err = w.Write(frame)
+		}
+		return err
+	}
+	for i := range replay {
+		if send(&replay[i]) != nil {
 			return
 		}
 	}
@@ -385,7 +380,7 @@ func serveEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // dropped for lagging, or the bus closed
 			}
-			if err := writeSSE(w, ev); err != nil {
+			if send(&ev) != nil {
 				return
 			}
 			// Drain whatever else is already buffered before flushing,
@@ -396,7 +391,7 @@ func serveEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 					if !open {
 						return
 					}
-					if err := writeSSE(w, ev); err != nil {
+					if send(&ev) != nil {
 						return
 					}
 					continue
@@ -409,15 +404,4 @@ func serveEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// writeSSE frames one event: id is the bus sequence number, event the
-// lifecycle type, data the full JSON payload.
-func writeSSE(w http.ResponseWriter, ev Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
 }

@@ -16,12 +16,12 @@ func waitTerminal(t *testing.T, svc *Service, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		list, err := svc.List()
+		list, err := svc.ListPage(0, 0, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		done := 0
-		for _, st := range list {
+		for _, st := range list.Jobs {
 			if TerminalState(st.State) {
 				done++
 			}
@@ -40,7 +40,7 @@ var promLine = regexp.MustCompile(
 	`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+)$`)
 
 // TestPrometheusEndpoint drives a small SSR run and scrapes
-// GET /metrics?format=prometheus: the exposition must lint, carry at least
+// GET /v1/metrics?format=prometheus: the exposition must lint, carry at least
 // ten metric families including a histogram, and agree with the JSON view.
 func TestPrometheusEndpoint(t *testing.T) {
 	svc := newTestService(t, Config{
@@ -58,7 +58,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 	waitTerminal(t, svc, jobs)
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	resp, err := http.Get(ts.URL + "/v1/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 
 	// The Perfetto and audit endpoints serve the same run.
-	resp, err = http.Get(ts.URL + "/trace?format=perfetto")
+	resp, err = http.Get(ts.URL + "/v1/trace?format=perfetto")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(perf), `"traceEvents"`) {
 		t.Errorf("GET /trace?format=perfetto: %d, body %.120s", resp.StatusCode, perf)
 	}
-	resp, err = http.Get(ts.URL + "/audit")
+	resp, err = http.Get(ts.URL + "/v1/audit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAuditDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, svc, 1)
-	resp, err := http.Get(ts.URL + "/audit")
+	resp, err := http.Get(ts.URL + "/v1/audit")
 	if err != nil {
 		t.Fatal(err)
 	}

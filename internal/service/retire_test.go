@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -297,8 +298,8 @@ func TestListPageDuringSubmitHandoff(t *testing.T) {
 			}
 			last = st.ID
 		}
-		if _, err := svc.List(); err != nil {
-			t.Fatalf("List: %v", err)
+		if _, err := svc.ListPage(0, 0, ""); err != nil {
+			t.Fatalf("ListPage(0, 0): %v", err)
 		}
 	}
 	wg.Wait()
@@ -390,5 +391,111 @@ func TestSubmitAllocatesPerJobNotPerPhase(t *testing.T) {
 	t.Logf("%.2f mallocs per job", perJob)
 	if perJob > 17 {
 		t.Errorf("the online path costs %.2f mallocs per job, want <= 17", perJob)
+	}
+}
+
+// TestPostHandlerAllocsPerRequest is the allocation guard for the request
+// path on top of that: the same mix as POST /v1/jobs bodies through NewHandler
+// on a recorder — no TCP, no net/http server — may cost at most 24.4 heap
+// allocations per job (22.2 measured; 48.0 with json.Decoder and json.Encoder
+// on the path). Of the 7 over Submit's 15.2, the handler's own are three — the
+// MaxBytesReader, the job's name, the reply's header entry — and the recorder
+// copying its header map is the rest. And the codec's share is per request,
+// not per phase or per task: what the handler adds over Submit is the same
+// for a one-phase job as for a twelve-phase one.
+func TestPostHandlerAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	// mallocsPerJob drives a fresh service with submit(i) for job i and
+	// returns the mallocs per job of the measured part, Drain included.
+	mallocsPerJob := func(warm, jobs int, bind func(*Service) (submit func(i int))) float64 {
+		svc := newTestService(t, Config{
+			Nodes:           64,
+			SlotsPerNode:    4,
+			Dilation:        1e6,
+			BaselineWorkers: -1,
+			Driver:          ssrOptions(),
+		})
+		submit := bind(svc)
+		for i := 0; i < warm; i++ {
+			submit(i)
+		}
+		waitTerminal(t, svc, warm)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := warm; i < warm+jobs; i++ {
+			submit(i)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if aborted, err := svc.Drain(ctx); err != nil || aborted != 0 {
+			t.Fatalf("Drain: aborted %d, err %v", aborted, err)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / float64(jobs)
+	}
+	direct := func(specs []JobSpec) func(*Service) func(int) {
+		return func(svc *Service) func(int) {
+			return func(i int) {
+				if _, err := svc.Submit(specs[i%len(specs)]); err != nil {
+					t.Fatalf("Submit %d: %v", i, err)
+				}
+			}
+		}
+	}
+	posted := func(specs []JobSpec) func(*Service) func(int) {
+		bodies := make([][]byte, len(specs))
+		for i, spec := range specs {
+			body, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = body
+		}
+		return func(svc *Service) func(int) {
+			h := NewHandler(svc)
+			rec := httptest.NewRecorder()
+			body := bytes.NewReader(nil)
+			req := httptest.NewRequest(http.MethodPost, "/v1/jobs", body)
+			return func(i int) {
+				body.Reset(bodies[i%len(bodies)])
+				rec.Body.Reset()
+				*rec = httptest.ResponseRecorder{Body: rec.Body}
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusCreated {
+					t.Fatalf("POST %d: %d %s", i, rec.Code, rec.Body.Bytes())
+				}
+			}
+		}
+	}
+
+	mix := make([]JobSpec, 1024)
+	for i := range mix {
+		mix[i] = onlineMixSpec(i)
+	}
+	perJob := mallocsPerJob(5000, 20000, posted(mix))
+	t.Logf("%.2f mallocs per job through the handler", perJob)
+	if perJob > 24.4 {
+		t.Errorf("POST /v1/jobs costs %.2f mallocs per job, want <= 24.4", perJob)
+	}
+
+	chain := func(name string, phases int) []JobSpec {
+		spec := JobSpec{Name: name, Priority: 5}
+		for ph := 0; ph < phases; ph++ {
+			p := PhaseSpec{DurationsMs: []float64{3000, 4000.5, 5000, 6000.25}, CopyDurationsMs: []float64{1, 2, 3, 4}}
+			if ph > 0 {
+				p.Deps = []int{ph - 1}
+			}
+			spec.Phases = append(spec.Phases, p)
+		}
+		return []JobSpec{spec}
+	}
+	one, twelve := chain("chain-01", 1), chain("chain-12", 12)
+	overOne := mallocsPerJob(1000, 4000, posted(one)) - mallocsPerJob(1000, 4000, direct(one))
+	overTwelve := mallocsPerJob(1000, 4000, posted(twelve)) - mallocsPerJob(1000, 4000, direct(twelve))
+	t.Logf("the handler adds %.2f mallocs to a 1-phase job, %.2f to a 12-phase job", overOne, overTwelve)
+	if math.Abs(overOne-overTwelve) > 0.5 {
+		t.Errorf("the handler adds %.2f mallocs to a 1-phase job but %.2f to a 12-phase job: its cost must be per request", overOne, overTwelve)
 	}
 }

@@ -707,12 +707,6 @@ func (s *Service) Status(id int64) (JobStatus, bool, error) {
 	return st, true, err
 }
 
-// List returns every admitted job in submission order.
-func (s *Service) List() ([]JobStatus, error) {
-	page, err := s.ListPage(0, 0, "")
-	return page.Jobs, err
-}
-
 // ListPage returns admitted jobs in submission order, starting after the
 // given job ID (0 = from the beginning), optionally filtered by tenant,
 // and at most limit entries (0 = no limit). NextAfter is the last

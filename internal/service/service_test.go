@@ -593,11 +593,11 @@ func TestServiceDrain(t *testing.T) {
 	if res.aborted == 0 {
 		t.Error("drain deadline passed with nothing aborted; jobs should not have finished")
 	}
-	list, err := svc.List()
+	list, err := svc.ListPage(0, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range list {
+	for _, st := range list.Jobs {
 		if !TerminalState(st.State) {
 			t.Errorf("job %d state %q after drain, want terminal", st.ID, st.State)
 		}

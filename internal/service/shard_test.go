@@ -10,23 +10,23 @@ import (
 	"ssr/internal/shard"
 )
 
-// waitAllTerminal polls List until every admitted job is terminal.
+// waitAllTerminal polls the job list until every admitted job is terminal.
 func waitAllTerminal(t *testing.T, svc *Service, want int, timeout time.Duration) []JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		list, err := svc.List()
+		list, err := svc.ListPage(0, 0, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		done := 0
-		for _, st := range list {
+		for _, st := range list.Jobs {
 			if TerminalState(st.State) {
 				done++
 			}
 		}
-		if len(list) == want && done == want {
-			return list
+		if len(list.Jobs) == want && done == want {
+			return list.Jobs
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/%d jobs terminal at deadline", done, want)
@@ -258,12 +258,12 @@ func TestServiceShardedDrain(t *testing.T) {
 	if _, err := svc.Submit(long); err != ErrDraining {
 		t.Errorf("submit during drain returned %v, want ErrDraining", err)
 	}
-	list, err := svc.List()
+	list, err := svc.ListPage(0, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	shards := make(map[int]bool)
-	for _, st := range list {
+	for _, st := range list.Jobs {
 		if st.State != StateFailed {
 			t.Errorf("job %d state %q after drain", st.ID, st.State)
 		}

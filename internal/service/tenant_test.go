@@ -44,7 +44,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response) ErrorInfo {
 
 // TestHandlerErrorEnvelope walks every route's error paths and asserts the
 // uniform {"error": {code, message}} envelope with the right status and
-// machine code — including the deprecated unversioned aliases.
+// machine code.
 func TestHandlerErrorEnvelope(t *testing.T) {
 	svc := newTestService(t, Config{Nodes: 2, SlotsPerNode: 2, Dilation: 200})
 	ts := httptest.NewServer(NewHandler(svc))
@@ -72,9 +72,7 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 		{"metrics bad format", "GET", "/v1/metrics?format=bogus", "", http.StatusBadRequest, CodeInvalidArgument},
 		{"trace disabled", "GET", "/v1/trace", "", http.StatusNotFound, CodeNotFound},
 		{"events bad since", "GET", "/v1/events?since=abc", "", http.StatusBadRequest, CodeInvalidArgument},
-		{"legacy job bad id", "GET", "/jobs/abc", "", http.StatusBadRequest, CodeInvalidArgument},
-		{"legacy job unknown id", "GET", "/jobs/424242", "", http.StatusNotFound, CodeNotFound},
-		{"legacy metrics bad format", "GET", "/metrics?format=bogus", "", http.StatusBadRequest, CodeInvalidArgument},
+		{"submit body over the limit", "POST", "/v1/jobs", paddedSpec(maxBodyBytes+1, 2), http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,12 +96,17 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 			if info.Code != tc.wantCode {
 				t.Errorf("code = %q, want %q", info.Code, tc.wantCode)
 			}
-			if strings.HasPrefix(tc.path, "/jobs") || strings.HasPrefix(tc.path, "/metrics") {
-				if resp.Header.Get("Deprecation") != "true" {
-					t.Error("legacy alias missing Deprecation header")
-				}
-			}
 		})
+	}
+
+	// The unversioned aliases of earlier releases are gone, not redirected.
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusNotFound || strings.Contains(string(body), `"error"`) {
+		t.Errorf("GET /jobs = %d %q, want the mux's plain 404", resp.StatusCode, body)
 	}
 }
 

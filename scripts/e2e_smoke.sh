@@ -146,12 +146,16 @@ curl -fsS "$base/v1/audit" | head -n1 | grep -q '"kind"' || fail "audit stream e
 events=$(curl -fs --max-time 2 "$base/v1/events?since=1" || true)
 echo "$events" | grep -q 'job_done' || fail "event stream missing job_done"
 
-# Legacy unversioned routes must keep working for one release, marked with
-# a Deprecation header and serving the same data.
-legacy_headers="$workdir/legacy_headers.txt"
-curl -fsS -D "$legacy_headers" "$base/jobs/$id" | grep -q '"state": "completed"' || fail "legacy GET /jobs/{id}"
-grep -qi '^Deprecation: true' "$legacy_headers" || fail "legacy route missing Deprecation header"
-echo "e2e_smoke: legacy aliases ok (Deprecation header set)"
+# The unversioned aliases of earlier releases are gone.
+code=$(curl -s -o /dev/null -w '%{http_code}' "$base/jobs/$id")
+[[ "$code" == "404" ]] || fail "GET /jobs/{id} answered $code, want 404 (aliases removed)"
+
+# A body over the 1 MiB limit is refused by name, not read.
+code=$(head -c 1048577 /dev/zero | tr '\0' ' ' | curl -s -o "$workdir/too_large.json" -w '%{http_code}' \
+    -X POST --data-binary @- "$base/v1/jobs")
+[[ "$code" == "413" ]] || fail "oversized POST answered $code, want 413"
+grep -q '"code": "payload_too_large"' "$workdir/too_large.json" || fail "413 body not the error envelope"
+echo "e2e_smoke: aliases gone (404), oversized body refused (413)"
 
 kill -TERM "$ssrd_pid"
 rc=0
