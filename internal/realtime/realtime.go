@@ -9,6 +9,12 @@
 // the engine — and to anything hanging off it, like the driver and cluster
 // — must go through Call, which serializes callers onto the loop goroutine.
 //
+// A Call allocates nothing: its record (the closure and a one-slot done
+// channel) comes from a pool. The loop sends on the done channel exactly once
+// for every record it takes, and before it can exit, so a record returns to
+// the pool only once Call has received that send (nil) or the loop never took
+// it (ErrStopped) — never while the loop can still touch it.
+//
 // # Time dilation
 //
 // Virtual time advances Dilation times faster than real time: with
@@ -53,10 +59,14 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
+// call is one Call's record, reused through callPool; the package doc states
+// when a record may go back.
 type call struct {
 	fn   func()
 	done chan struct{}
 }
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // Runner owns a sim.Engine and fires its events in wall-clock time.
 type Runner struct {
@@ -72,7 +82,7 @@ type Runner struct {
 	realAnchor time.Time
 	virtAnchor sim.Time
 
-	calls    chan call
+	calls    chan *call
 	stopC    chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -87,7 +97,7 @@ func New(eng *sim.Engine, opts Options) (*Runner, error) {
 	}
 	r := &Runner{
 		eng:   eng,
-		calls: make(chan call),
+		calls: make(chan *call),
 		stopC: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -156,26 +166,22 @@ func (r *Runner) realDelay(dv sim.Time) time.Duration {
 // first), and returns once fn has completed. fn may safely touch the
 // engine and everything scheduled on it; it must not call back into the
 // Runner. Call returns ErrStopped without running fn if the runner has
-// stopped (or stops before fn is picked up).
+// stopped (or stops before fn is picked up); once the loop has picked fn up,
+// it runs it to completion before it can stop, and Call returns nil.
+// Call allocates nothing of its own (see the package doc).
 func (r *Runner) Call(fn func()) error {
-	c := call{fn: fn, done: make(chan struct{})}
+	c := callPool.Get().(*call)
+	c.fn = fn
+	err := ErrStopped
 	select {
 	case r.calls <- c:
+		<-c.done
+		err = nil
 	case <-r.done:
-		return ErrStopped
 	}
-	select {
-	case <-c.done:
-		return nil
-	case <-r.done:
-		// The loop may have run the call in the same instant it stopped.
-		select {
-		case <-c.done:
-			return nil
-		default:
-			return ErrStopped
-		}
-	}
+	c.fn = nil
+	callPool.Put(c)
+	return err
 }
 
 // Now returns the engine's current virtual time as of this instant. It is
@@ -210,7 +216,7 @@ func (r *Runner) loop() {
 			stopTimer(timer, wake)
 			r.catchUp()
 			c.fn()
-			close(c.done)
+			c.done <- struct{}{}
 		case <-wake:
 		case <-r.stopC:
 			stopTimer(timer, wake)

@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,6 +138,87 @@ func TestVirtualClockTracksWall(t *testing.T) {
 	}
 	if now > 30*time.Second {
 		t.Errorf("virtual now = %v, implausibly far ahead", now)
+	}
+}
+
+// TestCallRanIffNil races many callers against Stop with pooled call records
+// in play: every Call returns nil exactly when its fn ran, and once the loop
+// has stopped a Call returns ErrStopped at once, without running fn.
+func TestCallRanIffNil(t *testing.T) {
+	r, err := New(sim.New(), Options{Dilation: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	const callers, perCaller = 8, 2000
+	var (
+		ran         [callers][perCaller]atomic.Bool
+		served      atomic.Int64
+		nils, stops atomic.Int64
+		quarterDone = make(chan struct{})
+		wg          sync.WaitGroup
+	)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := range ran[c] {
+				flag := &ran[c][i]
+				err := r.Call(func() {
+					flag.Store(true)
+					if served.Add(1) == callers*perCaller/4 {
+						close(quarterDone)
+					}
+				})
+				switch {
+				case err == nil && flag.Load():
+					nils.Add(1)
+				case err == ErrStopped && !flag.Load():
+					stops.Add(1)
+				default:
+					t.Errorf("caller %d call %d: Call = %v, fn ran = %v", c, i, err, flag.Load())
+					return
+				}
+			}
+		}(c)
+	}
+	<-quarterDone
+	r.Stop()
+	wg.Wait()
+	t.Logf("%d calls ran, %d refused", nils.Load(), stops.Load())
+	if nils.Load() < callers*perCaller/4 || stops.Load() == 0 {
+		t.Errorf("Stop did not land mid-stream: %d ran, %d refused", nils.Load(), stops.Load())
+	}
+	errC := make(chan error, 1)
+	go func() { errC <- r.Call(func() { t.Error("a Call after Stop ran") }) }()
+	select {
+	case err := <-errC:
+		if err != ErrStopped {
+			t.Errorf("Call after Stop = %v, want ErrStopped", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Call after Stop blocked")
+	}
+}
+
+// TestCallDoesNotAllocate: a call onto an idle loop costs no allocation once
+// the record pool is warm — the closure is the caller's, the record and its
+// done channel are reused.
+func TestCallDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	r := newRunner(t, sim.New(), Options{})
+	n := 0
+	fn := func() { n++ }
+	if err := r.Call(fn); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { _ = r.Call(fn) }); allocs != 0 {
+		t.Errorf("Call allocates %v per call, want 0", allocs)
+	}
+	if n != 1002 {
+		t.Errorf("fn ran %d times, want 1002", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -48,8 +49,9 @@ func onlineMixSpec(i int) JobSpec {
 
 // TestRetentionGuard is the soak in miniature: what the service still holds
 // per job once 20k jobs have come and gone must be the fixed-size residue (a
-// jobEntry with its final status, a map slot, an order slot — about 0.3 KB),
-// not the jobs' runtime graphs (1.8 KB before finished work was retired).
+// 216 B jobEntry slot with its final status, plus the sinks' share: 0.207 KB
+// measured, 0.237 when each entry also cost a map slot and an order slot), not
+// the jobs' runtime graphs (1.8 KB before finished work was retired).
 func TestRetentionGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting under the race detector measures the detector")
@@ -93,8 +95,8 @@ func TestRetentionGuard(t *testing.T) {
 	}
 	perJobKB := (float64(heap()) - float64(before)) / 1024 / jobs
 	t.Logf("retained %.3f KB per finished job", perJobKB)
-	if perJobKB >= 0.6 {
-		t.Errorf("service retains %.3f KB per finished job, want < 0.6", perJobKB)
+	if perJobKB >= 0.30 {
+		t.Errorf("service retains %.3f KB per finished job, want < 0.30", perJobKB)
 	}
 	var known int
 	if err := svc.Call(func(d *driver.Driver) { known = len(d.Results()) }); err != nil {
@@ -305,8 +307,8 @@ func TestListPageDuringSubmitHandoff(t *testing.T) {
 	wg.Wait()
 }
 
-// TestListPageCursor checks the binary-searched cursor against the
-// definition (first job with an ID above `after`) at every boundary.
+// TestListPageCursor checks the ID-indexed cursor against the definition
+// (first job with an ID above `after`) at every boundary.
 func TestListPageCursor(t *testing.T) {
 	svc := newTestService(t, Config{Nodes: 1, SlotsPerNode: 1, Dilation: 1, Driver: driver.Options{Mode: driver.ModeNone}})
 	const jobs = 7
@@ -346,13 +348,189 @@ func TestListPageCursor(t *testing.T) {
 	}
 }
 
+// TestJobTableHolesAndChunkEdges: a job the driver refuses on its loop is
+// rolled back and leaves a hole in the ID-indexed job table. Every reader
+// steps over it — Status, ListPage cursors on both sides of it, Drain — and
+// page walks cross the table's chunk edges (IDs 256/257 and 512/513).
+func TestJobTableHolesAndChunkEdges(t *testing.T) {
+	svc := newTestService(t, Config{
+		Nodes:           8,
+		SlotsPerNode:    4,
+		Dilation:        1e6,
+		BaselineWorkers: -1,
+		Driver:          driver.Options{Mode: driver.ModeNone},
+	})
+	const jobs, hole = 600, 300
+	for id := int64(1); id <= jobs; id++ {
+		spec := tinySpec("t", 1)
+		if id == hole {
+			// Validate admits any slot demand; the driver refuses one larger
+			// than its largest slot, on the loop, after the ID was handed out.
+			spec.Phases[0].Demand = 99
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := svc.Submit(spec); err == nil {
+				t.Fatalf("slot demand 99 was admitted: %+v", st)
+			}
+			continue
+		}
+		if st, err := svc.Submit(spec); err != nil || st.ID != id {
+			t.Fatalf("Submit: ID %d, err %v, want ID %d", st.ID, err, id)
+		}
+	}
+	for _, id := range []int64{hole, 0, -1, jobs + 1} {
+		if st, found, err := svc.Status(id); found || err != nil {
+			t.Errorf("Status(%d) = %+v, found %v, err %v; want unknown", id, st, found, err)
+		}
+	}
+	waitTerminal(t, svc, jobs-1)
+
+	for _, limit := range []int{100, 1} {
+		var got []int64
+		for after := int64(0); ; {
+			page, err := svc.ListPage(limit, after, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range page.Jobs {
+				got = append(got, st.ID)
+			}
+			if page.NextAfter == 0 {
+				break
+			}
+			if page.NextAfter != got[len(got)-1] {
+				t.Fatalf("ListPage(%d, %d).NextAfter = %d, last ID %d", limit, after, page.NextAfter, got[len(got)-1])
+			}
+			after = page.NextAfter
+		}
+		want := int64(1)
+		for _, id := range got {
+			if want == hole {
+				want++
+			}
+			if id != want {
+				t.Fatalf("limit %d walk: got ID %d, want %d", limit, id, want)
+			}
+			want++
+		}
+		if len(got) != jobs-1 {
+			t.Errorf("limit %d walk returned %d jobs, want %d", limit, len(got), jobs-1)
+		}
+	}
+	for _, after := range []int64{jobs, jobs + 1, math.MaxInt64} {
+		page, err := svc.ListPage(10, after, "")
+		if err != nil || page.Jobs == nil || len(page.Jobs) != 0 || page.NextAfter != 0 {
+			t.Errorf("ListPage(10, %d) = %+v, %v; want an empty non-nil page", after, page, err)
+		}
+	}
+
+	// 1e12 virtual ms is 1000 wall seconds at this dilation: still running
+	// when the drain's (already expired) grace is checked.
+	if _, err := svc.Submit(JobSpec{Name: "long", Phases: []PhaseSpec{{DurationsMs: []float64{1e12}}}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if aborted, err := svc.Drain(ctx); err != nil || aborted != 1 {
+		t.Errorf("Drain: aborted %d, err %v; want the one live job", aborted, err)
+	}
+}
+
+// TestFilteredPageReservesOnlyWhatItReturns: an unlimited page filtered by a
+// tenant that owns no job allocates next to nothing, however many jobs are
+// retained (the parent reserved a status for every one of them, ~3.8 MB
+// here), and a filtered page is the filter applied to the unfiltered one.
+func TestFilteredPageReservesOnlyWhatItReturns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under the race detector measures the detector")
+	}
+	const jobs = 20000
+	svc := newTestService(t, Config{
+		Nodes:           64,
+		SlotsPerNode:    4,
+		Dilation:        1e6,
+		BaselineWorkers: -1,
+		Driver:          driver.Options{Mode: driver.ModeNone},
+	})
+	for i := 0; i < jobs; i++ {
+		spec := tinySpec("f", 1)
+		if i%3 == 0 {
+			spec.Tenant = "a"
+		}
+		if _, err := svc.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitTerminal(t, svc, jobs)
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	page, err := svc.ListPage(0, 0, "nobody")
+	runtime.ReadMemStats(&m1)
+	if err != nil || page.Jobs == nil || len(page.Jobs) != 0 || page.NextAfter != 0 {
+		t.Fatalf("ListPage(0, 0, nobody) = %+v, %v; want an empty non-nil page", page, err)
+	}
+	if b := m1.TotalAlloc - m0.TotalAlloc; b >= 4096 {
+		t.Errorf("an empty filtered page allocated %d bytes over %d retained jobs, want < 4 KB", b, jobs)
+	}
+
+	all, err := svc.ListPage(0, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 7, 1000} {
+		var want []JobStatus
+		for _, st := range all.Jobs {
+			if st.Tenant == "a" && (limit == 0 || len(want) < limit) {
+				want = append(want, st)
+			}
+		}
+		got, err := svc.ListPage(limit, 0, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Jobs, want) {
+			t.Errorf("ListPage(%d, 0, a): %d jobs, want the filter of the unfiltered page (%d)", limit, len(got.Jobs), len(want))
+		}
+	}
+}
+
+// TestPooledHandoffPinsNothing: once Submit returns — admitted or rolled
+// back — the hand-off record it pooled holds no job, entry, shard or status;
+// only the bound fn survives.
+func TestPooledHandoffPinsNothing(t *testing.T) {
+	svc := newTestService(t, Config{Nodes: 1, SlotsPerNode: 1, Dilation: 1, Driver: driver.Options{Mode: driver.ModeNone}})
+	refused := tinySpec("refused", 1)
+	refused.Phases[0].Demand = 2
+	for _, spec := range []JobSpec{tinySpec("admitted", 1), refused} {
+		_, err := svc.Submit(spec)
+		if (err == nil) != (spec.Name == "admitted") {
+			t.Fatalf("Submit(%s): %v", spec.Name, err)
+		}
+		h := handoffPool.Get().(*handoff)
+		if h.fn == nil {
+			t.Errorf("after Submit(%s) a pooled hand-off has no fn", spec.Name)
+		}
+		v := reflect.ValueOf(h).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.Name != "fn" && !v.Field(i).IsZero() {
+				t.Errorf("after Submit(%s) a pooled hand-off still holds %s", spec.Name, f.Name)
+			}
+		}
+		handoffPool.Put(h)
+	}
+}
+
 // TestSubmitAllocatesPerJobNotPerPhase is the allocation guard for the whole
 // online path: the benchmark's 80/20 job mix through Service.Submit at
-// dilation 1e6, every job run to completion and drained, may cost at most 17
-// heap allocations per job (15.2 measured; 31.6 before a job's graph and its
-// runtime were each laid out in one piece). What is left is per job, not per
-// phase: five for the dag.Job, the jobEntry, the jobRun and its two blocks,
-// and the per-event costs of the bus, audit and metrics sinks.
+// dilation 1e6, every job run to completion and drained, may cost at most 11.3
+// heap allocations per job (10.22 measured; 15.21 with a closure, a reply and
+// a done channel per hand-off and an entry per job, 31.6 before a job's graph
+// and its runtime were each laid out in one piece). What is left is per job,
+// not per phase: five for the dag.Job, three for its runtime (the jobRun and
+// its two blocks), the sinks' per-event share and the downstream phases'
+// locality records — no hand-off and no entry.
 func TestSubmitAllocatesPerJobNotPerPhase(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
@@ -389,16 +567,17 @@ func TestSubmitAllocatesPerJobNotPerPhase(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	perJob := float64(m1.Mallocs-m0.Mallocs) / jobs
 	t.Logf("%.2f mallocs per job", perJob)
-	if perJob > 17 {
-		t.Errorf("the online path costs %.2f mallocs per job, want <= 17", perJob)
+	if perJob > 11.3 {
+		t.Errorf("the online path costs %.2f mallocs per job, want <= 11.3", perJob)
 	}
 }
 
 // TestPostHandlerAllocsPerRequest is the allocation guard for the request
 // path on top of that: the same mix as POST /v1/jobs bodies through NewHandler
-// on a recorder — no TCP, no net/http server — may cost at most 24.4 heap
-// allocations per job (22.2 measured; 48.0 with json.Decoder and json.Encoder
-// on the path). Of the 7 over Submit's 15.2, the handler's own are three — the
+// on a recorder — no TCP, no net/http server — may cost at most 19.0 heap
+// allocations per job (17.22 measured, 22.22 before Submit's hand-off and entry
+// stopped allocating; 48.0 with json.Decoder and json.Encoder on the path).
+// Of the 7 over Submit's 10.2, the handler's own are three — the
 // MaxBytesReader, the job's name, the reply's header entry — and the recorder
 // copying its header map is the rest. And the codec's share is per request,
 // not per phase or per task: what the handler adds over Submit is the same
@@ -476,8 +655,8 @@ func TestPostHandlerAllocsPerRequest(t *testing.T) {
 	}
 	perJob := mallocsPerJob(5000, 20000, posted(mix))
 	t.Logf("%.2f mallocs per job through the handler", perJob)
-	if perJob > 24.4 {
-		t.Errorf("POST /v1/jobs costs %.2f mallocs per job, want <= 24.4", perJob)
+	if perJob > 19.0 {
+		t.Errorf("POST /v1/jobs costs %.2f mallocs per job, want <= 19.0", perJob)
 	}
 
 	chain := func(name string, phases int) []JobSpec {

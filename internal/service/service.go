@@ -151,6 +151,77 @@ type jobEntry struct {
 	tasks  int
 }
 
+// jobChunk is the number of entries in one chunk of a jobTable.
+const jobChunk = 256
+
+// jobTable holds every admitted job's entry, indexed by ID−1. IDs are handed
+// out and their slots added under one Service.mu hold, so the table is dense
+// by construction; chunks never move, so a *jobEntry stays valid across an
+// unlock. A slot whose admission failed stays zeroed (st.ID == 0): a hole,
+// whose ID is never reused. Guarded by Service.mu.
+type jobTable struct {
+	chunks []*[jobChunk]jobEntry
+	n      int // slots handed out: IDs 1..n
+}
+
+// add hands out the next ID and its zeroed slot.
+func (t *jobTable) add() (dag.JobID, *jobEntry) {
+	if t.n%jobChunk == 0 {
+		t.chunks = append(t.chunks, new([jobChunk]jobEntry))
+	}
+	t.n++
+	return dag.JobID(t.n), t.at(t.n - 1)
+}
+
+// at returns slot i (job ID i+1), hole or not; 0 <= i < n.
+func (t *jobTable) at(i int) *jobEntry { return &t.chunks[i/jobChunk][i%jobChunk] }
+
+// get returns job id's entry, or nil for an ID never handed out or a hole.
+func (t *jobTable) get(id int64) *jobEntry {
+	if id < 1 || id > int64(t.n) {
+		return nil
+	}
+	if e := t.at(int(id - 1)); e.st.ID != 0 {
+		return e
+	}
+	return nil
+}
+
+// handoff carries one Submit onto its home shard's loop. Records come from
+// handoffPool with fn bound to run once, when the pool makes the record;
+// Submit zeroes every other field before putting one back, so a pooled record
+// pins no job.
+type handoff struct {
+	s      *Service
+	sh     *svcShard
+	job    *dag.Job
+	entry  *jobEntry
+	id     dag.JobID
+	status JobStatus
+	err    error
+	fn     func()
+}
+
+var handoffPool = sync.Pool{New: func() any {
+	h := new(handoff)
+	h.fn = h.run
+	return h
+}}
+
+// run stamps the job's ID and submission time and hands it to the shard's
+// driver; it runs on the shard's loop goroutine.
+func (h *handoff) run() {
+	h.job.ID, h.job.Submit = h.id, h.sh.eng.Now()
+	if h.err = h.sh.drv.Submit(h.job); h.err != nil {
+		return
+	}
+	h.s.mu.Lock()
+	h.entry.job = h.job
+	h.entry.st.SubmittedMs = msOf(h.job.Submit)
+	h.status = h.s.statusOfLocked(h.sh, h.entry)
+	h.s.mu.Unlock()
+}
+
 type baselineReq struct {
 	job   *dag.Job
 	nodes int
@@ -180,9 +251,7 @@ type Service struct {
 	// placement gauges. Loop goroutines take it briefly inside event
 	// hooks; nothing holds it while waiting on a runner Call.
 	mu          sync.Mutex
-	nextID      dag.JobID
-	jobs        map[dag.JobID]*jobEntry
-	order       []dag.JobID
+	jobs        jobTable
 	outstanding int
 	submitted   int
 	running     int
@@ -230,8 +299,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		bus:     NewBus(cfg.BusCapacity),
-		nextID:  1,
-		jobs:    make(map[dag.JobID]*jobEntry),
 		reg:     obs.NewRegistry(),
 		tenants: cfg.Tenants,
 	}
@@ -479,8 +546,8 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 			JobName: spec.Name, Tenant: spec.Tenant, Slot: -1, Count: demand})
 		return JobStatus{}, err
 	}
-	id := s.nextID
-	s.nextID++
+	// The slot stays a hole unless this admission gets as far as filling it.
+	id, entry := s.jobs.add()
 	idx := s.cfg.Router.Pick(shard.JobInfo{
 		ID:             id,
 		Name:           spec.Name,
@@ -496,7 +563,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("service: router %s picked out-of-range shard %d", s.cfg.Router.Name(), idx)
 	}
 	sh := s.shards[idx]
-	entry := &jobEntry{
+	*entry = jobEntry{
 		st: JobStatus{
 			ID:        int64(id),
 			Name:      spec.Name,
@@ -509,10 +576,6 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		demand: demand,
 		tasks:  tasks,
 	}
-	s.jobs[id] = entry
-	// IDs are assigned and appended under this one lock hold, so order is
-	// ascending by construction; ListPage and the rollback below search it.
-	s.order = append(s.order, id)
 	s.submitted++
 	s.outstanding++
 	sh.assigned++
@@ -520,21 +583,12 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	sh.demand += demand
 	s.mu.Unlock()
 
-	var (
-		status JobStatus
-		serr   error
-	)
-	err = sh.rt.Call(func() {
-		job.ID, job.Submit = id, sh.eng.Now()
-		if serr = sh.drv.Submit(job); serr != nil {
-			return
-		}
-		s.mu.Lock()
-		entry.job = job
-		entry.st.SubmittedMs = msOf(job.Submit)
-		status = s.statusOfLocked(sh, entry)
-		s.mu.Unlock()
-	})
+	h := handoffPool.Get().(*handoff)
+	h.s, h.sh, h.job, h.entry, h.id = s, sh, job, entry, id
+	err = sh.rt.Call(h.fn)
+	status, serr := h.status, h.err
+	*h = handoff{fn: h.fn}
+	handoffPool.Put(h)
 	if err == nil && serr == nil {
 		// Admission decisions happen off the shard loops, so the event
 		// carries no virtual timestamp (Time 0); Seq still orders it.
@@ -544,10 +598,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	// The home shard refused (or its loop is gone): roll the admission back.
 	s.mu.Lock()
-	delete(s.jobs, id)
-	if i := s.orderIndexLocked(int64(id) - 1); i < len(s.order) && s.order[i] == id {
-		s.order = append(s.order[:i], s.order[i+1:]...)
-	}
+	*entry = jobEntry{}
 	s.submitted--
 	s.outstanding--
 	sh.assigned--
@@ -559,12 +610,6 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, serr
 	}
 	return JobStatus{}, err
-}
-
-// orderIndexLocked returns the position in s.order of the first job with an
-// ID above after (len(s.order) when there is none). Callers hold s.mu.
-func (s *Service) orderIndexLocked(after int64) int {
-	return sort.Search(len(s.order), func(i int) bool { return int64(s.order[i]) > after })
 }
 
 // onDriverEvent bridges one shard's driver lifecycle events onto the shared
@@ -597,8 +642,8 @@ func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) bool {
 	}
 	sh := s.shards[shardIdx]
 	s.mu.Lock()
-	entry, ok := s.jobs[ev.Job]
-	if !ok || entry.st.Shard != shardIdx {
+	entry := s.jobs.get(int64(ev.Job))
+	if entry == nil || entry.st.Shard != shardIdx {
 		s.mu.Unlock()
 		return false // static-partition sentinel or pre-service job
 	}
@@ -686,8 +731,8 @@ func (s *Service) statusOfLocked(sh *svcShard, entry *jobEntry) JobStatus {
 // from the job table alone; only a live job costs a call onto its shard.
 func (s *Service) Status(id int64) (JobStatus, bool, error) {
 	s.mu.Lock()
-	entry, ok := s.jobs[dag.JobID(id)]
-	if !ok {
+	entry := s.jobs.get(id)
+	if entry == nil {
 		s.mu.Unlock()
 		return JobStatus{}, false, nil
 	}
@@ -719,16 +764,20 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 		entry *jobEntry
 	}
 	s.mu.Lock()
-	start := s.orderIndexLocked(after)
-	size := len(s.order) - start
+	n := s.jobs.n
+	start := int(min(max(after, 0), int64(n))) // slot of the first ID above after
+	size := n - start
 	if limit > 0 && limit < size {
 		size = limit
+	} else if tenantFilter != "" {
+		// The filter may match none of them: let append grow instead.
+		size = 0
 	}
 	out := JobList{Jobs: make([]JobStatus, 0, size)}
 	perShard := make([][]liveRef, len(s.shards))
-	for _, id := range s.order[start:] {
-		e := s.jobs[id]
-		if tenantFilter != "" && e.st.Tenant != tenantFilter {
+	for i := start; i < n; i++ {
+		e := s.jobs.at(i)
+		if e.st.ID == 0 || tenantFilter != "" && e.st.Tenant != tenantFilter {
 			continue
 		}
 		if limit > 0 && len(out.Jobs) == limit {
@@ -1065,9 +1114,9 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 		case <-ctx.Done():
 			s.mu.Lock()
 			victims := make([][]dag.JobID, len(s.shards))
-			for _, id := range s.order {
-				if st := &s.jobs[id].st; !TerminalState(st.State) {
-					victims[st.Shard] = append(victims[st.Shard], id)
+			for i := 0; i < s.jobs.n; i++ {
+				if st := &s.jobs.at(i).st; st.ID != 0 && !TerminalState(st.State) {
+					victims[st.Shard] = append(victims[st.Shard], dag.JobID(st.ID))
 				}
 			}
 			s.mu.Unlock()

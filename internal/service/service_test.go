@@ -334,18 +334,28 @@ func TestServiceEndToEnd(t *testing.T) {
 	)
 	streamDone := make(chan error, 1)
 	go func() {
-		streamDone <- cli.StreamEvents(streamCtx, 0, func(ev Event) error {
-			evMu.Lock()
-			events = append(events, ev)
-			if ev.Type == "job_done" || ev.Type == "job_fail" {
-				terminal++
-				if terminal == jobs {
-					stopStream()
+		// A subscriber that falls a whole buffer behind the bus is dropped
+		// and its stream ends; like any client, resume after the last event.
+		var next uint64
+		for {
+			err := cli.StreamEvents(streamCtx, next, func(ev Event) error {
+				next = ev.Seq + 1
+				evMu.Lock()
+				events = append(events, ev)
+				if ev.Type == "job_done" || ev.Type == "job_fail" {
+					terminal++
+					if terminal == jobs {
+						stopStream()
+					}
 				}
+				evMu.Unlock()
+				return nil
+			})
+			if err != nil || streamCtx.Err() != nil {
+				streamDone <- err
+				return
 			}
-			evMu.Unlock()
-			return nil
-		})
+		}
 	}()
 
 	// Submit concurrently from several client goroutines.
