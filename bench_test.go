@@ -313,44 +313,3 @@ func BenchmarkAblationPreReservation(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSimulatorThroughput measures raw discrete-event throughput on a
-// large-scale contention run (4000 slots, ~2800 background jobs), reporting
-// simulated events per second of wall time.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var events uint64
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		eng := sim.New()
-		cl, err := cluster.New(1000, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := driver.New(eng, cl, ssrAblationOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		bg, err := workload.Background(workload.BackgroundConfig{
-			Jobs: 2800, Window: 10 * time.Minute, MeanTask: 60 * time.Second,
-			Alpha: 1.6, DurationScale: 1, MaxParallelism: 60,
-		}, 1, 1, stats.Stream(3, "bench-bg"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, j := range bg {
-			if err := d.Submit(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-		start := time.Now()
-		if err := d.Run(); err != nil {
-			b.Fatal(err)
-		}
-		elapsed += time.Since(start)
-		events += eng.Events()
-	}
-	if elapsed > 0 {
-		b.ReportMetric(float64(events)/elapsed.Seconds(), "events/s")
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/run")
-}

@@ -44,33 +44,7 @@ type Config struct {
 	MinSamples int
 	// RefitEvery re-fits a class after this many new observations.
 	RefitEvery int
-	// MaxKS is the Kolmogorov–Smirnov distance above which a fit is
-	// rejected (the window does not look Pareto — e.g. mid-drift mixture).
-	MaxKS float64
-	// StabilityEps bounds the relative change between consecutive accepted
-	// tail indices for the class to count as stable. Stability gates the
-	// copy budget: speculative copies are only spent on a tail we trust.
-	StabilityEps float64
-	// AlphaMin and AlphaMax clamp acceptable fitted tail indices.
-	// AlphaMin must stay above 1: Eq. 3 diverges as alpha -> 1 and the
-	// Anselmi–Walton stability region for speculative copies requires a
-	// finite mean.
-	AlphaMin, AlphaMax float64
-	// TaskEWMABeta weights the per-class task-count EWMA update.
-	TaskEWMABeta float64
-	// HoldEWMABeta weights the deadline-outcome (isolation) EWMA update.
-	HoldEWMABeta float64
-	// PGain is the integral gain of the effective-P controller: each
-	// observed outcome nudges effective P by PGain*(target - holdEWMA),
-	// clamped to [target, PMax].
-	PGain float64
-	// PMax caps the effective isolation level so Eq. 3 deadlines stay
-	// finite even when the controller saturates.
-	PMax float64
 }
-
-// DefaultConfig returns the default estimator parameters.
-func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
@@ -82,32 +56,31 @@ func (c Config) withDefaults() Config {
 	if c.RefitEvery == 0 {
 		c.RefitEvery = 32
 	}
-	if c.MaxKS == 0 {
-		c.MaxKS = 0.15
-	}
-	if c.StabilityEps == 0 {
-		c.StabilityEps = 0.2
-	}
-	if c.AlphaMin == 0 {
-		c.AlphaMin = 1.05
-	}
-	if c.AlphaMax == 0 {
-		c.AlphaMax = 8
-	}
-	if c.TaskEWMABeta == 0 {
-		c.TaskEWMABeta = 0.2
-	}
-	if c.HoldEWMABeta == 0 {
-		c.HoldEWMABeta = 0.05
-	}
-	if c.PGain == 0 {
-		c.PGain = 0.05
-	}
-	if c.PMax == 0 {
-		c.PMax = 0.995
-	}
 	return c
 }
+
+const (
+	// stabilityEps bounds the relative change between consecutive accepted
+	// tail indices for the class to count as stable. Stability gates the
+	// copy budget: speculative copies are only spent on a tail we trust.
+	stabilityEps = 0.2
+	// alphaMin and alphaMax clamp acceptable fitted tail indices. alphaMin
+	// must stay above 1: Eq. 3 diverges as alpha -> 1 and the
+	// Anselmi–Walton stability region for speculative copies requires a
+	// finite mean.
+	alphaMin, alphaMax = 1.05, 8
+	// taskEWMABeta weights the per-class task-count EWMA update.
+	taskEWMABeta = 0.2
+	// holdEWMABeta weights the deadline-outcome (isolation) EWMA update.
+	holdEWMABeta = 0.05
+	// pGain is the integral gain of the effective-P controller: each
+	// observed outcome nudges effective P by pGain*(target - holdEWMA),
+	// clamped to [target, pMax].
+	pGain = 0.05
+	// pMax caps the effective isolation level so Eq. 3 deadlines stay
+	// finite even when the controller saturates.
+	pMax = 0.995
+)
 
 // Knobs are the estimator-derived Eq. 3 inputs for one class.
 type Knobs struct {
@@ -212,9 +185,6 @@ func New(cfg Config) *Registry {
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (r *Registry) Config() Config { return r.cfg }
-
 func (r *Registry) class(tenant, class string) *classState {
 	key := classKey{tenant: tenant, class: class}
 	cs := r.classes[key]
@@ -275,9 +245,10 @@ func (r *Registry) refitLocked(cs *classState) Adaptation {
 	default:
 		ad.KS = stats.KSDistance(r.scratch, fit)
 		switch {
-		case ad.KS > r.cfg.MaxKS:
+		case ad.KS > stats.MaxKSAccept:
+			// The window does not look Pareto (e.g. a mid-drift mixture).
 			reason = ReasonKS
-		case fit.Alpha <= r.cfg.AlphaMin || fit.Alpha > r.cfg.AlphaMax:
+		case fit.Alpha <= alphaMin || fit.Alpha > alphaMax:
 			reason = ReasonAlphaRange
 		}
 	}
@@ -302,7 +273,7 @@ func (r *Registry) refitLocked(cs *classState) Adaptation {
 			rel = -rel
 		}
 	}
-	cs.stable = cs.fitted && rel <= r.cfg.StabilityEps
+	cs.stable = cs.fitted && rel <= stabilityEps
 	cs.prevAlpha = cs.alpha
 	cs.alpha = fit.Alpha
 	cs.tmSec = fit.Xm
@@ -329,7 +300,7 @@ func (r *Registry) ObservePhase(tenant, class string, parallelism int) {
 		cs.tasksEWMA = v
 		cs.haveTasks = true
 	} else {
-		cs.tasksEWMA = r.cfg.TaskEWMABeta*v + (1-r.cfg.TaskEWMABeta)*cs.tasksEWMA
+		cs.tasksEWMA = taskEWMABeta*v + (1-taskEWMABeta)*cs.tasksEWMA
 	}
 	if cs.metrics != nil {
 		cs.metrics.tasksEWMA.Set(cs.tasksEWMA)
@@ -343,7 +314,7 @@ func (r *Registry) ObserveOutcome(tenant, class string, targetP float64, expired
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cs := r.class(tenant, class)
-	cs.anchor(targetP, r.cfg)
+	cs.anchor(targetP)
 	cs.armed++
 	held := 1.0
 	if expired {
@@ -353,17 +324,17 @@ func (r *Registry) ObserveOutcome(tenant, class string, targetP float64, expired
 	if cs.armed == 1 {
 		cs.holdEWMA = held
 	} else {
-		cs.holdEWMA = r.cfg.HoldEWMABeta*held + (1-r.cfg.HoldEWMABeta)*cs.holdEWMA
+		cs.holdEWMA = holdEWMABeta*held + (1-holdEWMABeta)*cs.holdEWMA
 	}
 	// Integral action: chronic misses (holdEWMA below target) push the
 	// effective P up, lengthening Eq. 3 deadlines; once observed isolation
 	// meets the target the offset bleeds back toward the floor.
-	cs.effP += r.cfg.PGain * (cs.targetP - cs.holdEWMA)
+	cs.effP += pGain * (cs.targetP - cs.holdEWMA)
 	if cs.effP < cs.targetP {
 		cs.effP = cs.targetP
 	}
-	if cs.effP > r.cfg.PMax {
-		cs.effP = r.cfg.PMax
+	if cs.effP > pMax {
+		cs.effP = pMax
 	}
 	cs.publish()
 }
@@ -371,7 +342,7 @@ func (r *Registry) ObserveOutcome(tenant, class string, targetP float64, expired
 // anchor (re-)anchors the controller at the configured target. A changed
 // target (operator reconfiguration) re-bases the floor but keeps the
 // accumulated offset.
-func (cs *classState) anchor(targetP float64, cfg Config) {
+func (cs *classState) anchor(targetP float64) {
 	if !cs.haveP {
 		cs.targetP = targetP
 		cs.effP = targetP
@@ -384,8 +355,8 @@ func (cs *classState) anchor(targetP float64, cfg Config) {
 		if cs.effP < targetP {
 			cs.effP = targetP
 		}
-		if cs.effP > cfg.PMax {
-			cs.effP = cfg.PMax
+		if cs.effP > pMax {
+			cs.effP = pMax
 		}
 	}
 }
@@ -400,7 +371,7 @@ func (r *Registry) Knobs(tenant, class string, targetP float64) (Knobs, bool) {
 	if !cs.fitted {
 		return Knobs{}, false
 	}
-	cs.anchor(targetP, r.cfg)
+	cs.anchor(targetP)
 	return Knobs{Alpha: cs.alpha, P: cs.effP, TmSec: cs.tmSec}, true
 }
 

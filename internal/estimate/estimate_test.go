@@ -68,7 +68,7 @@ func TestKnobsUnavailableBeforeFirstFit(t *testing.T) {
 		t.Error("Knobs ok on a class with no observations")
 	}
 	// Below MinSamples nothing fits, however long we wait between refits.
-	for i := 0; i < DefaultConfig().MinSamples-1; i++ {
+	for i := 0; i < r.cfg.MinSamples-1; i++ {
 		if _, ok := r.ObserveTask("", "job", time.Second); ok {
 			t.Fatal("refit before MinSamples")
 		}
@@ -91,9 +91,9 @@ func TestControllerRaisesEffectivePOnMisses(t *testing.T) {
 	if cs.HoldEWMA > 0.05 {
 		t.Errorf("holdEWMA = %.3f after all-expired outcomes, want near 0", cs.HoldEWMA)
 	}
-	if cs.EffectiveP != DefaultConfig().PMax {
-		t.Errorf("effective P = %.4f after chronic misses, want saturated at PMax %.4f",
-			cs.EffectiveP, DefaultConfig().PMax)
+	if cs.EffectiveP != pMax {
+		t.Errorf("effective P = %.4f after chronic misses, want saturated at pMax %.4f",
+			cs.EffectiveP, pMax)
 	}
 	// Once deadlines hold again the offset bleeds back to the floor.
 	for i := 0; i < 500; i++ {

@@ -112,6 +112,12 @@ func (e Empirical) String() string {
 	return fmt.Sprintf("Empirical(n=%d, mean=%g)", len(e.sorted), e.mean)
 }
 
+// MaxKSAccept is the fit-acceptance gate shared by the trace fitter and the
+// online tail estimator: a parametric fit whose KSDistance to its sample
+// exceeds it is rejected (the fitter falls back to Empirical, the estimator
+// keeps its previous knobs).
+const MaxKSAccept = 0.15
+
 // KSDistance returns the Kolmogorov–Smirnov statistic between a sample and
 // a distribution with an analytic CDF: the supremum over the sample points
 // of |F_n(x) - F(x)|. The trace fitter uses it to pick between candidate

@@ -26,9 +26,6 @@ const (
 	// to the empirical fallback: MLE shape estimates on a handful of
 	// points are noise.
 	minFitSamples = 8
-	// maxKSAccept is the largest KS distance at which a parametric fit is
-	// accepted over the empirical fallback.
-	maxKSAccept = 0.15
 	// maxFitSamples caps the per-class samples the fitter retains, so
 	// fitting a prefix of an arbitrarily long trace stays bounded.
 	maxFitSamples = 100_000
@@ -67,7 +64,7 @@ func FitDistribution(samples []float64) (stats.Distribution, string, float64, er
 			bestKS, best, bestKind = d, par, "pareto"
 		}
 	}
-	if best == nil || bestKS > maxKSAccept {
+	if best == nil || bestKS > stats.MaxKSAccept {
 		return empirical()
 	}
 	return best, bestKind, bestKS, nil
