@@ -71,6 +71,11 @@ func validTenantName(name string) bool {
 	return true
 }
 
+// maxJobTasks caps a job's tasks over all its phases, and so its phases,
+// each of which has at least one. The cap keeps every per-job count the
+// service stores in an int32; over HTTP the body limit is tighter still.
+const maxJobTasks = 1 << 20
+
 // Validate checks the spec without building it.
 func (s JobSpec) Validate() error {
 	if s.Name == "" {
@@ -88,9 +93,13 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("service: job %q tenant %q must match [a-zA-Z0-9_-]", s.Name, s.Tenant)
 	}
 	var work time.Duration // total serial work so far
+	tasks := 0
 	for i, ph := range s.Phases {
 		if len(ph.DurationsMs) == 0 {
 			return fmt.Errorf("service: job %q phase %d has no tasks", s.Name, i)
+		}
+		if tasks += len(ph.DurationsMs); tasks > maxJobTasks {
+			return fmt.Errorf("service: job %q is too large: more than %d tasks at phase %d", s.Name, maxJobTasks, i)
 		}
 		if len(ph.CopyDurationsMs) != 0 && len(ph.CopyDurationsMs) != len(ph.DurationsMs) {
 			return fmt.Errorf("service: job %q phase %d has %d copy durations for %d tasks",

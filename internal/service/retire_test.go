@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ssr/internal/dag"
 	"ssr/internal/driver"
@@ -49,9 +50,10 @@ func onlineMixSpec(i int) JobSpec {
 
 // TestRetentionGuard is the soak in miniature: what the service still holds
 // per job once 20k jobs have come and gone must be the fixed-size residue (a
-// 216 B jobEntry slot with its final status, plus the sinks' share: 0.207 KB
-// measured, 0.237 when each entry also cost a map slot and an order slot), not
-// the jobs' runtime graphs (1.8 KB before finished work was retired).
+// 128 B jobEntry slot, plus the sinks' share: 0.113 KB measured, 0.207 when
+// the slot embedded the wire JobStatus in 216 B, 0.237 when each entry also
+// cost a map slot and an order slot), not the jobs' runtime graphs (1.8 KB
+// before finished work was retired).
 func TestRetentionGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting under the race detector measures the detector")
@@ -95,8 +97,8 @@ func TestRetentionGuard(t *testing.T) {
 	}
 	perJobKB := (float64(heap()) - float64(before)) / 1024 / jobs
 	t.Logf("retained %.3f KB per finished job", perJobKB)
-	if perJobKB >= 0.30 {
-		t.Errorf("service retains %.3f KB per finished job, want < 0.30", perJobKB)
+	if perJobKB >= 0.16 {
+		t.Errorf("service retains %.3f KB per finished job, want < 0.16", perJobKB)
 	}
 	var known int
 	if err := svc.Call(func(d *driver.Driver) { known = len(d.Results()) }); err != nil {
@@ -107,6 +109,72 @@ func TestRetentionGuard(t *testing.T) {
 	}
 	if st, found, err := svc.Status(warm + 1); err != nil || !found || st.State != StateCompleted || st.TasksRun == 0 {
 		t.Errorf("a retired job no longer answers: %+v found=%v err=%v", st, found, err)
+	}
+}
+
+// TestJobEntrySize: a finished job's whole residue in the service is one
+// job-table slot of at most 128 bytes.
+func TestJobEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(jobEntry{}); size > 128 {
+		t.Errorf("a jobEntry is %d bytes, want <= 128", size)
+	}
+}
+
+// TestJobEntryRoundTrip: a wire status stored in a jobEntry renders back
+// equal to itself, and encodes to the bytes writeJSON writes for the original
+// — at the int32 edge of every count, at both ends of the unbounded priority,
+// with and without the finish stamps and a phase list.
+func TestJobEntryRoundTrip(t *testing.T) {
+	// msOf(finish-submit) = 93500.000001, msOf(finish)-msOf(submit) one ulp more.
+	const submit, finish = 1500*time.Millisecond + 7, 95*time.Second + 8
+	done := JobStatus{ID: 42, Name: "fg-4", State: StateCompleted, Priority: 10, PhasesDone: 3, NumPhases: 3,
+		TasksRun: 12, CopiesLaunched: 2, CopiesWon: 1, Tenant: "default"}
+	for _, tc := range []struct {
+		name           string
+		edit           func(st *JobStatus)
+		submit, finish time.Duration
+		finished       bool
+	}{
+		{"completed", func(*JobStatus) {}, submit, finish, true},
+		{"every count at MaxInt32", func(st *JobStatus) {
+			for _, n := range []*int{&st.PhasesDone, &st.NumPhases, &st.RunningSlots, &st.ReservedIdle, &st.TasksRun,
+				&st.CopiesLaunched, &st.CopiesWon, &st.Shard, &st.BorrowedSlots, &st.RemoteTasks} {
+				*n = math.MaxInt32
+			}
+		}, submit, finish, true},
+		{"negative priority", func(st *JobStatus) { st.Priority = -7 }, submit, finish, true},
+		{"MaxInt priority", func(st *JobStatus) { st.Priority = math.MaxInt }, submit, finish, true},
+		{"MinInt priority", func(st *JobStatus) { st.Priority = math.MinInt }, submit, finish, true},
+		{"failed with its phases", func(st *JobStatus) {
+			st.State, st.PhasesDone, st.RunningSlots, st.ReservedIdle = StateFailed, 1, 2, 1
+			st.Phases = []PhaseStatus{{ID: 1, TasksDone: 1, Tasks: 3, Running: 2, DeadlineMs: -1}, {ID: 2, Tasks: 4, DeadlineMs: 61000.5}}
+		}, submit, finish, true},
+		{"terminal without a result", func(st *JobStatus) { st.State = StateFailed }, submit, 0, false},
+		{"pending inside its hand-off", func(st *JobStatus) {
+			*st = JobStatus{ID: 43, Name: "bg-0", State: StatePending, Priority: 1, NumPhases: 1, Tenant: "t1"}
+		}, 0, 0, false},
+		{"running on shard 3", func(st *JobStatus) {
+			st.State, st.Shard, st.BorrowedSlots, st.RemoteTasks = StateRunning, 3, 2, 5
+		}, submit, 0, false},
+	} {
+		want := done
+		tc.edit(&want)
+		want.SubmittedMs = msOf(tc.submit)
+		if tc.finished {
+			want.FinishedMs, want.JCTMs = msOf(tc.finish), msOf(tc.finish-tc.submit)
+		}
+		e := jobEntry{submit: tc.submit}
+		e.set(&want, tc.finish, tc.finished)
+		got := e.status(want.ID)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stored and rendered back\n%+v\nwant\n%+v", tc.name, got, want)
+		}
+		enc, ref := httptest.NewRecorder(), httptest.NewRecorder()
+		new(scratch).writeJobStatus(enc, http.StatusOK, &got)
+		writeJSON(ref, http.StatusOK, want)
+		if !bytes.Equal(enc.Body.Bytes(), ref.Body.Bytes()) {
+			t.Errorf("%s: encodes to\n%s\nwriteJSON of the original writes\n%s", tc.name, enc.Body.Bytes(), ref.Body.Bytes())
+		}
 	}
 }
 

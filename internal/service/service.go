@@ -135,20 +135,81 @@ type svcShard struct {
 }
 
 // jobEntry is the service-side record of one admitted job, and all that
-// outlives the job: a fixed-size value whatever the job's shape. All fields
-// are guarded by Service.mu.
+// outlives the job: 128 bytes whatever the job's shape, from which status
+// renders the wire view on every read. Its ID is implicit (slot index + 1).
+// The identity and state are current from admission on and submit from the
+// hand-off; the progress fields are written once, by the job's terminal
+// event. All fields are guarded by Service.mu.
 type jobEntry struct {
-	// st is the job's wire status. Its identity (ID, Name, Priority,
-	// Tenant, Shard, NumPhases) and State are current from admission on and
-	// SubmittedMs from the hand-off; the progress fields are written once,
-	// by the job's terminal event, which makes st the final status.
-	st JobStatus
+	name, tenant string
 	// job is the DAG while the job lives on its home shard's driver: set
 	// by Submit's hand-off, dropped by the terminal event. While it is nil
-	// st alone answers reads (pending before, final after).
-	job    *dag.Job
-	demand int
-	tasks  int
+	// the entry alone answers reads (pending before, final after).
+	job *dag.Job
+	// phases is what the driver listed of a failed job's phases, nil for
+	// every other job (a completed one reports none).
+	phases *[]PhaseStatus
+	// finish is the driver's finish time, set with finished when the
+	// terminal event found the job's Result.
+	submit, finish time.Duration
+	priority       int
+	// maxJobTasks bounds every count below, so each fits an int32.
+	demand, tasks, numPhases, shard        int32
+	phasesDone, runningSlots, reservedIdle int32
+	tasksRun, copiesLaunched, copiesWon    int32
+	borrowedSlots, remoteTasks             int32
+	state                                  uint8 // jobHole until admission fills the slot
+	finished                               bool
+}
+
+// A jobEntry's state; jobStates holds their wire names.
+const (
+	jobHole uint8 = iota
+	jobPending
+	jobRunning
+	jobCompleted
+	jobFailed
+)
+
+var jobStates = [...]string{"", StatePending, StateRunning, StateCompleted, StateFailed}
+
+// status renders the entry's wire view; id is the entry's job ID.
+func (e *jobEntry) status(id int64) JobStatus {
+	st := JobStatus{ID: id, Name: e.name, State: jobStates[e.state], Priority: e.priority, SubmittedMs: msOf(e.submit),
+		PhasesDone: int(e.phasesDone), NumPhases: int(e.numPhases), RunningSlots: int(e.runningSlots),
+		ReservedIdle: int(e.reservedIdle), TasksRun: int(e.tasksRun), CopiesLaunched: int(e.copiesLaunched),
+		CopiesWon: int(e.copiesWon), Shard: int(e.shard), BorrowedSlots: int(e.borrowedSlots),
+		RemoteTasks: int(e.remoteTasks), Tenant: e.tenant}
+	if e.phases != nil {
+		st.Phases = *e.phases
+	}
+	if e.finished {
+		st.FinishedMs, st.JCTMs = msOf(e.finish), msOf(e.finish-e.submit)
+	}
+	return st
+}
+
+// set stores the wire view st, which status renders back. The ID is the
+// slot's and SubmittedMs the hand-off's submit; FinishedMs and JCTMs render
+// from finish when finished (wire milliseconds do not convert back exactly).
+func (e *jobEntry) set(st *JobStatus, finish time.Duration, finished bool) {
+	e.name, e.tenant, e.priority = st.Name, st.Tenant, st.Priority
+	e.state = jobHole
+	for i, name := range jobStates {
+		if name == st.State {
+			e.state = uint8(i)
+		}
+	}
+	e.numPhases, e.shard = int32(st.NumPhases), int32(st.Shard)
+	e.phasesDone, e.runningSlots, e.reservedIdle = int32(st.PhasesDone), int32(st.RunningSlots), int32(st.ReservedIdle)
+	e.tasksRun, e.copiesLaunched, e.copiesWon = int32(st.TasksRun), int32(st.CopiesLaunched), int32(st.CopiesWon)
+	e.borrowedSlots, e.remoteTasks = int32(st.BorrowedSlots), int32(st.RemoteTasks)
+	e.phases = nil
+	if len(st.Phases) > 0 {
+		phases := st.Phases
+		e.phases = &phases
+	}
+	e.finish, e.finished = finish, finished
 }
 
 // jobChunk is the number of entries in one chunk of a jobTable.
@@ -157,7 +218,7 @@ const jobChunk = 256
 // jobTable holds every admitted job's entry, indexed by ID−1. IDs are handed
 // out and their slots added under one Service.mu hold, so the table is dense
 // by construction; chunks never move, so a *jobEntry stays valid across an
-// unlock. A slot whose admission failed stays zeroed (st.ID == 0): a hole,
+// unlock. A slot whose admission failed stays zeroed (state jobHole): a hole,
 // whose ID is never reused. Guarded by Service.mu.
 type jobTable struct {
 	chunks []*[jobChunk]jobEntry
@@ -181,7 +242,7 @@ func (t *jobTable) get(id int64) *jobEntry {
 	if id < 1 || id > int64(t.n) {
 		return nil
 	}
-	if e := t.at(int(id - 1)); e.st.ID != 0 {
+	if e := t.at(int(id - 1)); e.state != jobHole {
 		return e
 	}
 	return nil
@@ -216,9 +277,8 @@ func (h *handoff) run() {
 		return
 	}
 	h.s.mu.Lock()
-	h.entry.job = h.job
-	h.entry.st.SubmittedMs = msOf(h.job.Submit)
-	h.status = h.s.statusOfLocked(h.sh, h.entry)
+	h.entry.job, h.entry.submit = h.job, h.job.Submit
+	h.status = h.s.statusOfLocked(h.sh, h.entry, int64(h.id))
 	h.s.mu.Unlock()
 }
 
@@ -265,6 +325,7 @@ type Service struct {
 
 	sdMu      sync.Mutex
 	slowdowns []float64
+	sdSum     float64 // the sum of slowdowns, for meanSlowdown
 	sdDropped int
 
 	closeOnce sync.Once
@@ -563,19 +624,9 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("service: router %s picked out-of-range shard %d", s.cfg.Router.Name(), idx)
 	}
 	sh := s.shards[idx]
-	*entry = jobEntry{
-		st: JobStatus{
-			ID:        int64(id),
-			Name:      spec.Name,
-			State:     StatePending,
-			Priority:  spec.Priority,
-			NumPhases: job.NumPhases(),
-			Shard:     idx,
-			Tenant:    spec.Tenant,
-		},
-		demand: demand,
-		tasks:  tasks,
-	}
+	entry.set(&JobStatus{Name: spec.Name, State: StatePending, Priority: spec.Priority,
+		NumPhases: job.NumPhases(), Shard: idx, Tenant: spec.Tenant}, 0, false)
+	entry.demand, entry.tasks = int32(demand), int32(tasks)
 	s.submitted++
 	s.outstanding++
 	sh.assigned++
@@ -643,58 +694,59 @@ func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) bool {
 	sh := s.shards[shardIdx]
 	s.mu.Lock()
 	entry := s.jobs.get(int64(ev.Job))
-	if entry == nil || entry.st.Shard != shardIdx {
+	if entry == nil || int(entry.shard) != shardIdx {
 		s.mu.Unlock()
 		return false // static-partition sentinel or pre-service job
 	}
 	if ev.Type == driver.EventJobStart {
-		entry.st.State = StateRunning
+		entry.state = jobRunning
 		s.running++
 		s.mu.Unlock()
 		return false
 	}
-	if entry.st.State == StateRunning {
+	if entry.state == jobRunning {
 		s.running--
 	}
+	demand, tasks := int(entry.demand), int(entry.tasks)
 	s.outstanding--
 	sh.pending--
-	sh.demand -= entry.demand
+	sh.demand -= demand
 	if ev.Type == driver.EventJobDone {
-		entry.st.State = StateCompleted
+		entry.state = jobCompleted
 		s.completed++
-		s.tenants.Complete(entry.st.Tenant, entry.demand, entry.tasks)
+		s.tenants.Complete(entry.tenant, demand, tasks)
 	} else {
-		entry.st.State = StateFailed
+		entry.state = jobFailed
 		s.failed++
-		s.tenants.Release(entry.st.Tenant, entry.demand, entry.tasks)
+		s.tenants.Release(entry.tenant, demand, tasks)
 	}
 	// Retire the job in place: the driver's last view of it becomes the
 	// entry's final status and the DAG leaves the job table.
-	entry.st = s.statusOfLocked(sh, entry)
+	js, found := sh.drv.Result(ev.Job)
+	st := s.statusOfLocked(sh, entry, int64(ev.Job))
+	entry.set(&st, js.Finish, found)
 	job := entry.job
 	entry.job = nil
 	s.mu.Unlock()
-	if ev.Type == driver.EventJobDone && s.baselineCh != nil {
+	if ev.Type == driver.EventJobDone && found && s.baselineCh != nil {
 		// Slowdown baselines run alone on a cluster shaped like the home
 		// shard: that is the isolation the paper's metric normalizes by.
-		if js, found := sh.drv.Result(ev.Job); found {
-			s.requestBaseline(job, sh.nodes, js.JCT())
-		}
+		s.requestBaseline(job, sh.nodes, js.JCT())
 	}
 	return true
 }
 
-// statusOfLocked builds the wire view of one job: the entry's own status,
-// overlaid with the driver's view of its progress while the job is live.
+// statusOfLocked builds the wire view of job id: the entry's own, overlaid
+// with the driver's view of its progress while the job is live (no finish
+// stamps: a live job has none, and the terminal event sets them itself).
 // Callers hold s.mu and, when entry.job is set, run on the loop goroutine of
 // the job's home shard sh.
-func (s *Service) statusOfLocked(sh *svcShard, entry *jobEntry) JobStatus {
-	st := entry.st
+func (s *Service) statusOfLocked(sh *svcShard, entry *jobEntry, id int64) JobStatus {
+	st := entry.status(id)
 	if entry.job == nil {
 		return st
 	}
-	id := entry.job.ID
-	if p, ok := sh.drv.Progress(id); ok {
+	if p, ok := sh.drv.Progress(dag.JobID(id)); ok {
 		st.PhasesDone = p.PhasesDone
 		st.RunningSlots = p.RunningSlots
 		st.ReservedIdle = p.ReservedIdle
@@ -712,16 +764,12 @@ func (s *Service) statusOfLocked(sh *svcShard, entry *jobEntry) JobStatus {
 			st.Phases = append(st.Phases, ps)
 		}
 	}
-	if js, ok := sh.drv.Result(id); ok {
+	if js, ok := sh.drv.Result(dag.JobID(id)); ok {
 		st.TasksRun = js.TasksRun
 		st.CopiesLaunched = js.CopiesLaunched
 		st.CopiesWon = js.CopiesWon
 		st.BorrowedSlots = js.BorrowedSlots
 		st.RemoteTasks = js.RemoteTasks
-		if TerminalState(st.State) {
-			st.FinishedMs = msOf(js.Finish)
-			st.JCTMs = msOf(js.JCT())
-		}
 	}
 	return st
 }
@@ -737,16 +785,16 @@ func (s *Service) Status(id int64) (JobStatus, bool, error) {
 		return JobStatus{}, false, nil
 	}
 	if entry.job == nil {
-		st := entry.st
+		st := entry.status(id)
 		s.mu.Unlock()
 		return st, true, nil
 	}
-	sh := s.shards[entry.st.Shard]
+	sh := s.shards[entry.shard]
 	s.mu.Unlock()
 	var st JobStatus
 	err := sh.rt.Call(func() {
 		s.mu.Lock()
-		st = s.statusOfLocked(sh, entry)
+		st = s.statusOfLocked(sh, entry, id)
 		s.mu.Unlock()
 	})
 	return st, true, err
@@ -777,7 +825,7 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 	perShard := make([][]liveRef, len(s.shards))
 	for i := start; i < n; i++ {
 		e := s.jobs.at(i)
-		if e.st.ID == 0 || tenantFilter != "" && e.st.Tenant != tenantFilter {
+		if e.state == jobHole || tenantFilter != "" && e.tenant != tenantFilter {
 			continue
 		}
 		if limit > 0 && len(out.Jobs) == limit {
@@ -785,9 +833,9 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 			break
 		}
 		if e.job != nil {
-			perShard[e.st.Shard] = append(perShard[e.st.Shard], liveRef{len(out.Jobs), e})
+			perShard[e.shard] = append(perShard[e.shard], liveRef{len(out.Jobs), e})
 		}
-		out.Jobs = append(out.Jobs, e.st)
+		out.Jobs = append(out.Jobs, e.status(int64(i+1)))
 	}
 	s.mu.Unlock()
 	for k, refs := range perShard {
@@ -799,7 +847,7 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			for _, ref := range refs {
-				out.Jobs[ref.slot] = s.statusOfLocked(sh, ref.entry)
+				out.Jobs[ref.slot] = s.statusOfLocked(sh, ref.entry, out.Jobs[ref.slot].ID)
 			}
 		})
 		if err != nil {
@@ -918,8 +966,13 @@ func shardLifecycle(cfg Config, split []int, i int, slowdown func() float64) *li
 
 // meanSlowdown feeds the autoscaler's grow trigger: the mean online
 // slowdown recorded so far. It runs on shard loop goroutines each
-// evaluation tick; sdMu is never held across a loop call, so no cycle.
-func (s *Service) meanSlowdown() float64 { return s.slowdownStats().Mean }
+// evaluation tick, so it reads a running sum in O(1); sdMu is never held
+// across a loop call, so no cycle.
+func (s *Service) meanSlowdown() float64 {
+	s.sdMu.Lock()
+	defer s.sdMu.Unlock()
+	return s.sdSum / float64(max(len(s.slowdowns), 1)) // 0 before the first
+}
 
 // Nodes returns every node's lifecycle view, aggregated across shards.
 // Node IDs are per-shard; the Shard field disambiguates them.
@@ -1115,8 +1168,8 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 			s.mu.Lock()
 			victims := make([][]dag.JobID, len(s.shards))
 			for i := 0; i < s.jobs.n; i++ {
-				if st := &s.jobs.at(i).st; st.ID != 0 && !TerminalState(st.State) {
-					victims[st.Shard] = append(victims[st.Shard], dag.JobID(st.ID))
+				if e := s.jobs.at(i); e.state == jobPending || e.state == jobRunning {
+					victims[e.shard] = append(victims[e.shard], dag.JobID(i+1))
 				}
 			}
 			s.mu.Unlock()
@@ -1172,10 +1225,16 @@ func (s *Service) baselineWorker() {
 		if err != nil || alone <= 0 {
 			s.sdDropped++
 		} else {
-			s.slowdowns = append(s.slowdowns, metrics.Slowdown(req.jct, alone))
+			s.addSlowdownLocked(metrics.Slowdown(req.jct, alone))
 		}
 		s.sdMu.Unlock()
 	}
+}
+
+// addSlowdownLocked records one slowdown; callers hold sdMu.
+func (s *Service) addSlowdownLocked(sd float64) {
+	s.slowdowns = append(s.slowdowns, sd)
+	s.sdSum += sd
 }
 
 // slowdownStats summarizes the slowdowns recorded so far.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"ssr/internal/core"
 	"ssr/internal/dag"
 	"ssr/internal/driver"
+	"ssr/internal/stats"
 )
 
 // tinySpec is a 2-phase workflow small enough that hundreds of them drain
@@ -219,6 +221,73 @@ func TestDurationsThatDoNotFitAreRefused(t *testing.T) {
 				t.Errorf("admitted job has serial work %v, copy duration %v", work, job.Phase(0).Tasks[0].CopyDuration)
 			}
 		})
+	}
+}
+
+// TestJobTaskCapIsExplicit: a job of maxJobTasks tasks, counted over all its
+// phases, gets past validation; one more task is refused by name, and the
+// handler answers that as a 400 invalid_argument.
+func TestJobTaskCapIsExplicit(t *testing.T) {
+	svc := newTestService(t, Config{Nodes: 1, SlotsPerNode: 1, Dilation: 1e6, BaselineWorkers: -1})
+	// Draining, Submit refuses a valid job with ErrDraining instead of running
+	// its million tasks.
+	if _, err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	durations := make([]float64, maxJobTasks+1)
+	for i := range durations {
+		durations[i] = 1
+	}
+	half := maxJobTasks / 2
+	for _, tc := range []struct {
+		name    string
+		tasks   int
+		wantErr string
+	}{
+		{"at the cap", maxJobTasks, ErrDraining.Error()},
+		{"one past it", maxJobTasks + 1, `service: job "x" is too large: more than 1048576 tasks at phase 1`},
+	} {
+		spec := JobSpec{Name: "x", Phases: []PhaseSpec{
+			{DurationsMs: durations[:half]},
+			{DurationsMs: durations[half:tc.tasks], Deps: []int{0}},
+		}}
+		_, err := svc.Submit(spec)
+		if err == nil || err.Error() != tc.wantErr {
+			t.Fatalf("%s: Submit: %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if tc.tasks > maxJobTasks {
+			rec := httptest.NewRecorder()
+			writeError(rec, http.StatusBadRequest, err)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"code": "invalid_argument"`) {
+				t.Errorf("%s: replied %d %s", tc.name, rec.Code, rec.Body.String())
+			}
+		}
+	}
+}
+
+// TestMeanSlowdownIsARunningMean: the autoscaler's trigger, evaluated on the
+// shard loop every tick, neither copies nor sorts the slowdown history, and
+// agrees with the mean the metrics view computes from the sorted copy.
+func TestMeanSlowdownIsARunningMean(t *testing.T) {
+	s := new(Service)
+	if got := s.meanSlowdown(); got != 0 || s.slowdownStats().Mean != 0 {
+		t.Errorf("no slowdowns: meanSlowdown %v, slowdownStats %+v", got, s.slowdownStats())
+	}
+	rng := stats.SubStream(606, "mean-slowdown-test", 0)
+	dist := stats.Pareto{Alpha: 1.6, Xm: 1}
+	s.sdMu.Lock()
+	for i := 0; i < 10000; i++ {
+		s.addSlowdownLocked(dist.Sample(rng))
+	}
+	s.sdMu.Unlock()
+	if got, want := s.meanSlowdown(), s.slowdownStats().Mean; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("meanSlowdown %v, slowdownStats().Mean %v", got, want)
+	}
+	if raceEnabled {
+		return // allocation counts under the race detector measure the detector
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.meanSlowdown() }); allocs != 0 {
+		t.Errorf("meanSlowdown over 10k slowdowns allocates %v times, want 0", allocs)
 	}
 }
 
