@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,13 +29,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ssrsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run is the whole command: it parses args and writes every report line to
+// stdout. Flag errors and usage still go to stderr.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ssrsim", flag.ContinueOnError)
 	var (
 		nodes     = fs.Int("nodes", 50, "cluster nodes")
@@ -171,7 +174,7 @@ func run(args []string) error {
 		if err := dumpWorkload(*dumpJobs, fg, bg); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d jobs to %s\n", len(fg)+len(bg), *dumpJobs)
+		fmt.Fprintf(stdout, "wrote %d jobs to %s\n", len(fg)+len(bg), *dumpJobs)
 	}
 
 	eng := sim.New()
@@ -201,18 +204,18 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("simulated %d jobs on %d slots in %v (virtual makespan %v, %d events)\n",
+	fmt.Fprintf(stdout, "simulated %d jobs on %d slots in %v (virtual makespan %v, %d events)\n",
 		len(fg)+len(bg), cl.NumSlots(), time.Since(start).Round(time.Millisecond),
 		d.Makespan().Round(time.Second), eng.Events())
-	fmt.Printf("cluster utilization over makespan: %.1f%%, reserved-idle: %.2f%%\n",
+	fmt.Fprintf(stdout, "cluster utilization over makespan: %.1f%%, reserved-idle: %.2f%%\n",
 		100*d.Usage().Utilization(d.Makespan()),
 		100*d.Usage().ReservedFraction(d.Makespan()))
 	if fc := d.Faults(); fc.Any() {
-		fmt.Println(fc)
+		fmt.Fprintln(stdout, fc)
 	}
 	if est != nil {
 		for _, cs := range est.Snapshot() {
-			fmt.Printf("estimator %s/%s: n=%d alpha=%.2f tm=%.2fs ks=%.3f stable=%v effP=%.3f hold=%.3f (fits=%d rejects=%d)\n",
+			fmt.Fprintf(stdout, "estimator %s/%s: n=%d alpha=%.2f tm=%.2fs ks=%.3f stable=%v effP=%.3f hold=%.3f (fits=%d rejects=%d)\n",
 				orDefault(cs.Tenant), cs.Class, cs.Observed, cs.Alpha, cs.TmSec,
 				cs.KS, cs.Stable, cs.EffectiveP, cs.HoldEWMA, cs.Fits, cs.Rejects)
 		}
@@ -228,7 +231,7 @@ func run(args []string) error {
 	}
 	for i, j := range fg {
 		st, _ := d.Result(j.ID)
-		fmt.Printf("fg %-12s jct=%-10v alone=%-10v slowdown=%.2f copies=%d/%d local/any=%d/%d\n",
+		fmt.Fprintf(stdout, "fg %-12s jct=%-10v alone=%-10v slowdown=%.2f copies=%d/%d local/any=%d/%d\n",
 			j.Name, st.JCT().Round(time.Millisecond), alones[i].Round(time.Millisecond),
 			float64(st.JCT())/float64(alones[i]), st.CopiesWon, st.CopiesLaunched,
 			st.LocalPlacements, st.AnyPlacements)
@@ -236,29 +239,29 @@ func run(args []string) error {
 	if *verbose {
 		for _, j := range bg {
 			st, _ := d.Result(j.ID)
-			fmt.Printf("bg %-12s jct=%v\n", j.Name, st.JCT().Round(time.Millisecond))
+			fmt.Fprintf(stdout, "bg %-12s jct=%v\n", j.Name, st.JCT().Round(time.Millisecond))
 		}
 	}
 	if *gantt {
-		fmt.Print(trace.Gantt(rec.Events(), trace.GanttOptions{Width: 100, Slots: 64}))
+		fmt.Fprint(stdout, trace.Gantt(rec.Events(), trace.GanttOptions{Width: 100, Slots: 64}))
 	}
 	if *traceOut != "" {
 		if err := rec.WriteFile(*traceOut); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d trace events to %s\n", rec.Len(), *traceOut)
+		fmt.Fprintf(stdout, "wrote %d trace events to %s\n", rec.Len(), *traceOut)
 	}
 	if *perfetto != "" {
 		if err := obs.WritePerfettoFile(*perfetto, rec.Events(), audit.Events()); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Perfetto trace to %s (open at ui.perfetto.dev)\n", *perfetto)
+		fmt.Fprintf(stdout, "wrote Perfetto trace to %s (open at ui.perfetto.dev)\n", *perfetto)
 	}
 	if *auditOut != "" {
 		if err := audit.WriteFile(*auditOut); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d audit events to %s (%d dropped by retention)\n",
+		fmt.Fprintf(stdout, "wrote %d audit events to %s (%d dropped by retention)\n",
 			audit.Len(), *auditOut, audit.Dropped())
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -344,7 +345,12 @@ func serveEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 	since := uint64(0)
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			since = n + 1
+			// Resume after n. Nothing follows the largest ID, and n+1
+			// would wrap to 0, which replays everything.
+			since = n
+			if n < math.MaxUint64 {
+				since = n + 1
+			}
 		}
 	}
 	if v := r.URL.Query().Get("since"); v != "" {

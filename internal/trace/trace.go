@@ -34,24 +34,78 @@ type Event struct {
 	End     time.Duration `json:"endNs"`
 }
 
-// chunkEvents is the capacity of one storage chunk. 1024 events of 72 B are
-// 72 KB: nine whole heap pages, so a chunk wastes nothing to rounding.
+// record is how the recorder keeps one Event: 56 B instead of 72. Phase,
+// task and slot fit in int32 for every job the driver runs; an event whose
+// fields do not fit is kept whole in Recorder.wide, and its record is only
+// flagWide.
+type record struct {
+	start, end        time.Duration
+	job               dag.JobID
+	name              string
+	phase, task, slot int32
+	flags             uint8
+}
+
+// record flags.
+const (
+	flagCopy uint8 = 1 << iota
+	flagLocal
+	flagKilled
+	flagWide
+)
+
+// fits32 reports whether v survives a round trip through int32.
+func fits32(v int) bool { return v == int(int32(v)) }
+
+// compact packs ev into a record; ok is false when it does not fit.
+func compact(ev *Event) (rec record, ok bool) {
+	if !fits32(ev.Phase) || !fits32(ev.Task) || !fits32(ev.Slot) {
+		return record{flags: flagWide}, false
+	}
+	rec = record{start: ev.Start, end: ev.End, job: ev.Job, name: ev.JobName,
+		phase: int32(ev.Phase), task: int32(ev.Task), slot: int32(ev.Slot)}
+	if ev.Copy {
+		rec.flags |= flagCopy
+	}
+	if ev.Local {
+		rec.flags |= flagLocal
+	}
+	if ev.Killed {
+		rec.flags |= flagKilled
+	}
+	return rec, true
+}
+
+// event renders a record that is not flagWide.
+func (rec *record) event() Event {
+	return Event{
+		Job: rec.job, JobName: rec.name,
+		Phase: int(rec.phase), Task: int(rec.task), Slot: int(rec.slot),
+		Copy: rec.flags&flagCopy != 0, Local: rec.flags&flagLocal != 0, Killed: rec.flags&flagKilled != 0,
+		Start: rec.start, End: rec.end,
+	}
+}
+
+// chunkEvents is the capacity of one storage chunk. 1024 records of 56 B are
+// 56 KB: seven whole heap pages, so a chunk wastes nothing to rounding.
 const chunkEvents = 1024
 
 // Recorder accumulates events. The zero value is ready to use. Recorder is
 // safe for concurrent use: the online service appends from the scheduler
 // loop while exports run from HTTP or shutdown goroutines.
 //
-// Events live in fixed-capacity chunks rather than one doubling slice, so
-// recording N events allocates N events' worth of memory, once, and never
-// copies an old event.
+// Events live as compact records in fixed-capacity chunks rather than one
+// doubling slice, so recording N events allocates N records' worth of
+// memory, once, and never copies an old one.
 type Recorder struct {
 	mu sync.Mutex
-	// chunks holds the events in append order; all but the last are full.
-	// A stored chunk pointer and a written event never change again, which
-	// is what lets Events copy them without holding mu.
-	chunks []*[chunkEvents]Event
+	// chunks holds the records in append order; all but the last are full.
+	// A stored chunk pointer and a written record never change again, which
+	// is what lets Events read them without holding mu.
+	chunks []*[chunkEvents]record
 	n      int
+	// wide holds, by append position, each event whose record is flagWide.
+	wide map[int]Event
 }
 
 // NewRecorder returns an empty recorder.
@@ -59,12 +113,19 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Append records one event.
 func (r *Recorder) Append(ev Event) {
+	rec, ok := compact(&ev)
 	r.mu.Lock()
 	i := r.n % chunkEvents
 	if i == 0 {
-		r.chunks = append(r.chunks, new([chunkEvents]Event))
+		r.chunks = append(r.chunks, new([chunkEvents]record))
 	}
-	r.chunks[len(r.chunks)-1][i] = ev
+	r.chunks[len(r.chunks)-1][i] = rec
+	if !ok {
+		if r.wide == nil {
+			r.wide = make(map[int]Event)
+		}
+		r.wide[r.n] = ev
+	}
 	r.n++
 	r.mu.Unlock()
 }
@@ -78,8 +139,8 @@ func (r *Recorder) Len() int {
 
 // Events returns the recorded events sorted by (start, job, phase, task).
 // The returned slice is a copy, taken without stalling Append: only the
-// chunk list and the count are read under the lock, and the events below
-// that count are immutable.
+// chunk list, the count and the rare wide event are read under the lock,
+// and the records below that count are immutable.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	chunks, n := r.chunks, r.n
@@ -87,9 +148,16 @@ func (r *Recorder) Events() []Event {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, n)
-	for _, c := range chunks {
-		out = append(out, c[:min(chunkEvents, n-len(out))]...)
+	out := make([]Event, n)
+	for i := range out {
+		rec := &chunks[i/chunkEvents][i%chunkEvents]
+		if rec.flags&flagWide == 0 {
+			out[i] = rec.event()
+			continue
+		}
+		r.mu.Lock()
+		out[i] = r.wide[i]
+		r.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
 	return out
@@ -181,10 +249,10 @@ type GanttOptions struct {
 	Slots int
 }
 
-// Gantt renders the trace as one text row per slot. Each attempt paints
-// its span with the last letter of the job name (uppercase when the
-// placement lost locality, '+' overwritten for killed attempts' spans is
-// avoided by painting killed attempts in lowercase '·' shading).
+// Gantt renders the trace as one text row per slot. Each attempt paints its
+// span with the last letter or digit of the job name, uppercased when the
+// placement lost locality; a killed attempt paints '.' (see glyph). Later
+// events overwrite earlier ones where spans share a column.
 func Gantt(events []Event, opts GanttOptions) string {
 	if len(events) == 0 {
 		return "(empty trace)\n"

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -304,11 +305,20 @@ func TestRecorderChunkBoundaries(t *testing.T) {
 	}
 }
 
+// slotOf is the slot of the i-th event TestRecorderSnapshotsWhileAppending
+// appends: every 97th is past int32, so the recorder keeps it wide.
+func slotOf(i int) int {
+	if i%97 == 0 {
+		return math.MaxInt32 + 1 + i
+	}
+	return i % 64
+}
+
 // TestRecorderSnapshotsWhileAppending covers the fix for the export stall:
 // Events used to copy the whole trace while holding the mutex Append needs,
-// and now copies outside it. One goroutine appends 200k events while another
-// exports in a loop; every snapshot must be a sorted, duplicate-free prefix
-// of what was appended. Run under -race.
+// and now copies outside it. One goroutine appends 200k events, some of them
+// wide, while another exports in a loop; every snapshot must be a sorted,
+// duplicate-free prefix of what was appended. Run under -race.
 func TestRecorderSnapshotsWhileAppending(t *testing.T) {
 	const total = 200000
 	r := NewRecorder()
@@ -318,7 +328,7 @@ func TestRecorderSnapshotsWhileAppending(t *testing.T) {
 		for i := 0; i < total; i++ {
 			// Start rises with the append index, so a prefix of the
 			// appends is exactly tasks 0..k-1 in order.
-			r.Append(Event{Job: 1, JobName: "w", Task: i, Start: time.Duration(i), End: time.Duration(i + 1)})
+			r.Append(Event{Job: 1, JobName: "w", Task: i, Slot: slotOf(i), Start: time.Duration(i), End: time.Duration(i + 1)})
 		}
 	}()
 	snapshots := 0
@@ -335,8 +345,9 @@ func TestRecorderSnapshotsWhileAppending(t *testing.T) {
 			t.Fatalf("snapshot of %d events taken between Len %d and %d", len(evs), before, after)
 		}
 		for i, ev := range evs {
-			if ev.Task != i || ev.Start != time.Duration(i) {
-				t.Fatalf("snapshot of %d: event %d is task %d at %v; not a prefix", len(evs), i, ev.Task, ev.Start)
+			if ev.Task != i || ev.Start != time.Duration(i) || ev.Slot != slotOf(i) {
+				t.Fatalf("snapshot of %d: event %d is task %d on slot %d at %v; not a prefix",
+					len(evs), i, ev.Task, ev.Slot, ev.Start)
 			}
 		}
 		if snapshots%8 == 0 {
@@ -353,7 +364,9 @@ func TestRecorderSnapshotsWhileAppending(t *testing.T) {
 
 // TestRecorderAllocatesPerChunk is the allocation guard: N appends cost the
 // chunks that hold them plus the growth of the chunk list, and no more bytes
-// than the events themselves (the open chunk's unused tail aside).
+// than their records (the open chunk's unused tail aside). The ceiling is in
+// records, not Events: an Event is 72 B, so chunks of Events would pass a
+// ceiling in Events.
 func TestRecorderAllocatesPerChunk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
@@ -370,11 +383,61 @@ func TestRecorderAllocatesPerChunk(t *testing.T) {
 	if got, max := m1.Mallocs-m0.Mallocs, uint64(2*n/chunkEvents+8); got > max {
 		t.Errorf("%d appends cost %d mallocs, want <= %d", n, got, max)
 	}
-	eventBytes := uint64(n) * uint64(unsafe.Sizeof(ev))
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > eventBytes*11/10 {
-		t.Errorf("%d B of events cost %d B allocated, want <= 1.1x", eventBytes, got)
+	recordBytes := uint64(n) * uint64(unsafe.Sizeof(record{}))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > recordBytes*11/10 {
+		t.Errorf("%d B of records cost %d B allocated, want <= 1.1x", recordBytes, got)
 	}
 	if r.Len() != n {
 		t.Errorf("Len = %d, want %d", r.Len(), n)
+	}
+}
+
+// TestTraceRecordSize pins the record at 56 B: 1024 of them fill seven whole
+// heap pages.
+func TestTraceRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got > 56 {
+		t.Errorf("record is %d B, want <= 56", got)
+	}
+}
+
+// TestRecordRoundTrip appends events at the edges of what a record holds, and
+// past them, and requires Events to give each back unchanged: alone, and all
+// together against the sorted slice.
+func TestRecordRoundTrip(t *testing.T) {
+	rows := []struct {
+		name string
+		ev   Event
+	}{
+		{"zero", Event{}},
+		{"int32 max", Event{Job: math.MaxInt64, JobName: "max", Phase: math.MaxInt32, Task: math.MaxInt32,
+			Slot: math.MaxInt32, Start: math.MaxInt64 - 1, End: math.MaxInt64}},
+		{"int32 min", Event{Job: math.MinInt64, JobName: "min", Phase: math.MinInt32, Task: math.MinInt32,
+			Slot: math.MinInt32, Start: math.MinInt64, End: -1}},
+		{"no slot", Event{Job: 3, JobName: "unplaced", Phase: 2, Task: 9, Slot: -1, Start: sec(1), End: sec(2)}},
+		{"copy", Event{Job: 4, JobName: "c", Copy: true, Start: sec(3), End: sec(4)}},
+		{"local", Event{Job: 4, JobName: "l", Local: true, Start: sec(3), End: sec(4)}},
+		{"killed", Event{Job: 4, JobName: "k", Killed: true, Start: sec(3), End: sec(4)}},
+		{"all flags", Event{Job: 4, JobName: "ckl", Copy: true, Local: true, Killed: true, Start: sec(3), End: sec(4)}},
+		{"wide phase", Event{Job: 5, JobName: "wp", Phase: math.MaxInt32 + 1, Copy: true, Start: sec(5), End: sec(6)}},
+		{"wide task", Event{Job: 5, JobName: "wt", Task: math.MinInt32 - 1, Local: true, Start: sec(5), End: sec(6)}},
+		{"wide slot", Event{Job: 5, JobName: "ws", Slot: math.MaxInt, Killed: true, Start: sec(5), End: sec(6)}},
+	}
+	var all Recorder
+	var want []Event
+	for _, row := range rows {
+		var r Recorder
+		r.Append(row.ev)
+		if got := r.Events(); len(got) != 1 || !reflect.DeepEqual(got[0], row.ev) {
+			t.Errorf("%s: Events() = %+v, want [%+v]", row.name, got, row.ev)
+		}
+		all.Append(row.ev)
+		want = append(want, row.ev)
+	}
+	sort.Slice(want, func(i, j int) bool { return eventLess(want[i], want[j]) })
+	if got := all.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("all rows in one recorder:\n got %+v\nwant %+v", got, want)
+	}
+	if len(all.wide) != 3 {
+		t.Errorf("recorder keeps %d wide events, want 3", len(all.wide))
 	}
 }
