@@ -5,8 +5,9 @@
 //	POST /v1/jobs          submit a workflow job (service.JobSpec, with an
 //	                       optional "tenant" field); 429 + Retry-After when
 //	                       the tenant's quota rejects it
-//	GET  /v1/jobs          paginated list (?limit=&after=&tenant=);
-//	                       GET /v1/jobs/{id} for one
+//	GET  /v1/jobs          paginated list of the retained jobs
+//	                       (?limit=&after=&tenant=); GET /v1/jobs/{id} for
+//	                       one, 404 "gone" once evicted (see below)
 //	GET  /v1/tenants       per-tenant quotas and usage; /v1/tenants/{id}
 //	GET  /v1/cluster       per-slot state
 //	GET  /v1/nodes         per-node lifecycle state (speed, pool, drain);
@@ -23,8 +24,12 @@
 //	GET  /v1/healthz       liveness
 //
 // Errors use the uniform envelope {"error": {"code", "message",
-// "retry_after_ms"}}. The unversioned routes of earlier releases remain as
-// deprecated aliases for one release.
+// "retry_after_ms"}}; an unknown job ID is code "not_found", an evicted one
+// "gone".
+//
+// The job history is bounded: the daemon keeps the newest 10,000 terminal
+// jobs, in the order they ended, and frees the rest; live jobs are never
+// evicted.
 //
 // With -shards K > 1 the cluster is partitioned into K independent
 // scheduler shards; -router picks the job-placement policy and idle slots

@@ -59,6 +59,13 @@ func IsUnavailable(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusServiceUnavailable
 }
 
+// IsGone reports whether err is a 404 for a job the daemon admitted and has
+// since evicted from its retained history.
+func IsGone(err error) bool {
+	var ae *apiError
+	return errors.As(err, &ae) && ae.Code == CodeGone
+}
+
 // IsQuotaExhausted reports whether err is a 429 quota rejection.
 func IsQuotaExhausted(err error) bool {
 	var ae *apiError
@@ -139,7 +146,7 @@ func (c *Client) Job(ctx context.Context, id int64) (JobStatus, error) {
 	return st, err
 }
 
-// Jobs lists every admitted job, walking the paginated v1 listing to
+// Jobs lists every retained job, walking the paginated v1 listing to
 // exhaustion.
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 	var out []JobStatus
@@ -238,7 +245,9 @@ func (c *Client) Estimators(ctx context.Context) (EstimatorList, error) {
 }
 
 // WaitJob polls until the job reaches a terminal state, the poll interval
-// defaulting to 10ms when interval is zero or negative.
+// defaulting to 10ms when interval is zero or negative. A job that ends and is
+// evicted from the daemon's retained history between two polls ends the wait
+// with an error satisfying IsGone.
 func (c *Client) WaitJob(ctx context.Context, id int64, interval time.Duration) (JobStatus, error) {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond

@@ -18,6 +18,7 @@ import (
 const (
 	CodeInvalidArgument = "invalid_argument"
 	CodeNotFound        = "not_found"
+	CodeGone            = "gone" // a job evicted from the retained history
 	CodeQuotaExhausted  = "quota_exhausted"
 	CodePayloadTooLarge = "payload_too_large"
 	CodeDraining        = "draining"
@@ -51,8 +52,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeError renders err through the uniform envelope, deriving status,
 // code and backpressure advice from its type: quota rejections become
-// 429 with a Retry-After header, drains 503, a body past maxBodyBytes 413,
-// unknown IDs stay whatever the handler passed.
+// 429 with a Retry-After header, drains 503, a body past maxBodyBytes 413, an
+// evicted job 404 gone, unknown IDs stay whatever the handler passed.
 func writeError(w http.ResponseWriter, status int, err error) {
 	info := ErrorInfo{Message: err.Error()}
 	var (
@@ -77,6 +78,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	case errors.Is(err, realtime.ErrStopped):
 		status = http.StatusServiceUnavailable
 		info.Code = CodeUnavailable
+	case errors.Is(err, ErrGone):
+		status = http.StatusNotFound
+		info.Code = CodeGone
 	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge
 		info.Code = CodePayloadTooLarge
@@ -101,9 +105,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //	                        201 with the initial JobStatus, 429 with
 //	                        Retry-After on quota rejection, 413 for a
 //	                        body over 1 MiB
-//	GET  /v1/jobs           paginated job list: ?limit=N&after=ID and
-//	                        ?tenant= filtering; returns {"jobs", "nextAfter"}
-//	GET  /v1/jobs/{id}      one job's status
+//	GET  /v1/jobs           paginated list of the retained jobs: ?limit=N&after=ID
+//	                        and ?tenant= filtering; returns {"jobs", "nextAfter"}
+//	GET  /v1/jobs/{id}      one job's status; 404 gone once the job has left
+//	                        the retained history (the newest 10,000
+//	                        terminal jobs)
 //	GET  /v1/tenants        every tenant's quota and usage
 //	GET  /v1/tenants/{id}   one tenant's quota and usage
 //	GET  /v1/cluster        per-slot cluster state

@@ -11,21 +11,17 @@ import (
 	"time"
 )
 
-// waitTerminal polls until n jobs are terminal or the deadline passes.
+// waitTerminal polls until n jobs are terminal or the deadline passes. It reads
+// the service's counters, which also count the jobs the table has evicted.
 func waitTerminal(t *testing.T, svc *Service, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		list, err := svc.ListPage(0, 0, "")
+		ms, err := svc.Metrics()
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := 0
-		for _, st := range list.Jobs {
-			if TerminalState(st.State) {
-				done++
-			}
-		}
+		done := ms.JobsCompleted + ms.JobsFailed
 		if done >= n {
 			return
 		}

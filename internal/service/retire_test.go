@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -49,11 +50,12 @@ func onlineMixSpec(i int) JobSpec {
 }
 
 // TestRetentionGuard is the soak in miniature: what the service still holds
-// per job once 20k jobs have come and gone must be the fixed-size residue (a
-// 128 B jobEntry slot, plus the sinks' share: 0.113 KB measured, 0.207 when
-// the slot embedded the wire JobStatus in 216 B, 0.237 when each entry also
-// cost a map slot and an order slot), not the jobs' runtime graphs (1.8 KB
-// before finished work was retired).
+// per job once 20k jobs have come and gone must be the sinks' share and the
+// bounded job history, not a record per job (0.113 KB while every 128 B
+// jobEntry stayed, 0.207 when the entry embedded the wire JobStatus in 216 B,
+// 0.237 when each entry also cost a map slot and an order slot) nor the jobs'
+// runtime graphs (1.8 KB before finished work was retired). The newest job
+// still answers; the first measured one has been evicted.
 func TestRetentionGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting under the race detector measures the detector")
@@ -97,8 +99,8 @@ func TestRetentionGuard(t *testing.T) {
 	}
 	perJobKB := (float64(heap()) - float64(before)) / 1024 / jobs
 	t.Logf("retained %.3f KB per finished job", perJobKB)
-	if perJobKB >= 0.16 {
-		t.Errorf("service retains %.3f KB per finished job, want < 0.16", perJobKB)
+	if perJobKB >= 0.04 {
+		t.Errorf("service retains %.3f KB per finished job, want < 0.04", perJobKB)
 	}
 	var known int
 	if err := svc.Call(func(d *driver.Driver) { known = len(d.Results()) }); err != nil {
@@ -107,8 +109,11 @@ func TestRetentionGuard(t *testing.T) {
 	if known != 0 {
 		t.Errorf("driver still holds %d finished jobs the service retired", known)
 	}
-	if st, found, err := svc.Status(warm + 1); err != nil || !found || st.State != StateCompleted || st.TasksRun == 0 {
-		t.Errorf("a retired job no longer answers: %+v found=%v err=%v", st, found, err)
+	if st, found, err := svc.Status(warm + jobs); err != nil || !found || st.State != StateCompleted || st.TasksRun == 0 {
+		t.Errorf("the newest retired job no longer answers: %+v found=%v err=%v", st, found, err)
+	}
+	if st, found, err := svc.Status(warm + 1); found || !errors.Is(err, ErrGone) {
+		t.Errorf("job %d, %d terminal jobs ago, answers %+v found=%v err=%v; want ErrGone", warm+1, jobs, st, found, err)
 	}
 }
 
@@ -419,89 +424,111 @@ func TestListPageCursor(t *testing.T) {
 // TestJobTableHolesAndChunkEdges: a job the driver refuses on its loop is
 // rolled back and leaves a hole in the ID-indexed job table. Every reader
 // steps over it — Status, ListPage cursors on both sides of it, Drain — and
-// page walks cross the table's chunk edges (IDs 256/257 and 512/513).
+// page walks cross the table's chunk edges (IDs 256/257 and 512/513). At the
+// default history every job is kept; with a 100-job history (retain=100) the
+// walks return exactly the 100 jobs that still answer Status, and every other
+// job answers ErrGone.
 func TestJobTableHolesAndChunkEdges(t *testing.T) {
-	svc := newTestService(t, Config{
-		Nodes:           8,
-		SlotsPerNode:    4,
-		Dilation:        1e6,
-		BaselineWorkers: -1,
-		Driver:          driver.Options{Mode: driver.ModeNone},
-	})
 	const jobs, hole = 600, 300
-	for id := int64(1); id <= jobs; id++ {
-		spec := tinySpec("t", 1)
-		if id == hole {
-			// Validate admits any slot demand; the driver refuses one larger
-			// than its largest slot, on the loop, after the ID was handed out.
-			spec.Phases[0].Demand = 99
-			if err := spec.Validate(); err != nil {
+	for _, retain := range []int{0, 100} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			svc := newTestService(t, Config{
+				Nodes:           8,
+				SlotsPerNode:    4,
+				Dilation:        1e6,
+				BaselineWorkers: -1,
+				Driver:          driver.Options{Mode: driver.ModeNone},
+			})
+			if retain > 0 {
+				setRetain(svc, retain)
+			}
+			for id := int64(1); id <= jobs; id++ {
+				spec := tinySpec("t", 1)
+				if id == hole {
+					// Validate admits any slot demand; the driver refuses one
+					// larger than its largest slot, on the loop, after the ID
+					// was handed out.
+					spec.Phases[0].Demand = 99
+					if err := spec.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					if st, err := svc.Submit(spec); err == nil {
+						t.Fatalf("slot demand 99 was admitted: %+v", st)
+					}
+					continue
+				}
+				if st, err := svc.Submit(spec); err != nil || st.ID != id {
+					t.Fatalf("Submit: ID %d, err %v, want ID %d", st.ID, err, id)
+				}
+			}
+			for _, id := range []int64{0, -1, jobs + 1} {
+				if st, found, err := svc.Status(id); found || err != nil {
+					t.Errorf("Status(%d) = %+v, found %v, err %v; want unknown", id, st, found, err)
+				}
+			}
+			waitTerminal(t, svc, jobs-1)
+
+			var kept []int64
+			for id := int64(1); id <= jobs; id++ {
+				st, found, err := svc.Status(id)
+				switch {
+				case found && id != hole:
+					kept = append(kept, id)
+				case id == hole && !found && (err == nil || retain > 0 && errors.Is(err, ErrGone)):
+					// A hole is unknown, or gone once its chunk is freed.
+				case !found && retain > 0 && errors.Is(err, ErrGone):
+				default:
+					t.Fatalf("Status(%d) = %+v, found %v, err %v", id, st, found, err)
+				}
+			}
+			want := jobs - 1 // the default keeps every one
+			if retain > 0 {
+				want = retain
+			}
+			if len(kept) != want {
+				t.Fatalf("%d jobs still answer, want %d", len(kept), want)
+			}
+
+			for _, limit := range []int{100, 1} {
+				var got []int64
+				for after := int64(0); ; {
+					page, err := svc.ListPage(limit, after, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, st := range page.Jobs {
+						got = append(got, st.ID)
+					}
+					if page.NextAfter == 0 {
+						break
+					}
+					if page.NextAfter != got[len(got)-1] {
+						t.Fatalf("ListPage(%d, %d).NextAfter = %d, last ID %d", limit, after, page.NextAfter, got[len(got)-1])
+					}
+					after = page.NextAfter
+				}
+				if !reflect.DeepEqual(got, kept) {
+					t.Fatalf("limit %d walk returned IDs %v, want the %d that answer Status %v", limit, got, len(kept), kept)
+				}
+			}
+			for _, after := range []int64{jobs, jobs + 1, math.MaxInt64} {
+				page, err := svc.ListPage(10, after, "")
+				if err != nil || page.Jobs == nil || len(page.Jobs) != 0 || page.NextAfter != 0 {
+					t.Errorf("ListPage(10, %d) = %+v, %v; want an empty non-nil page", after, page, err)
+				}
+			}
+
+			// 1e12 virtual ms is 1000 wall seconds at this dilation: still
+			// running when the drain's (already expired) grace is checked.
+			if _, err := svc.Submit(JobSpec{Name: "long", Phases: []PhaseSpec{{DurationsMs: []float64{1e12}}}}); err != nil {
 				t.Fatal(err)
 			}
-			if st, err := svc.Submit(spec); err == nil {
-				t.Fatalf("slot demand 99 was admitted: %+v", st)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if aborted, err := svc.Drain(ctx); err != nil || aborted != 1 {
+				t.Errorf("Drain: aborted %d, err %v; want the one live job", aborted, err)
 			}
-			continue
-		}
-		if st, err := svc.Submit(spec); err != nil || st.ID != id {
-			t.Fatalf("Submit: ID %d, err %v, want ID %d", st.ID, err, id)
-		}
-	}
-	for _, id := range []int64{hole, 0, -1, jobs + 1} {
-		if st, found, err := svc.Status(id); found || err != nil {
-			t.Errorf("Status(%d) = %+v, found %v, err %v; want unknown", id, st, found, err)
-		}
-	}
-	waitTerminal(t, svc, jobs-1)
-
-	for _, limit := range []int{100, 1} {
-		var got []int64
-		for after := int64(0); ; {
-			page, err := svc.ListPage(limit, after, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, st := range page.Jobs {
-				got = append(got, st.ID)
-			}
-			if page.NextAfter == 0 {
-				break
-			}
-			if page.NextAfter != got[len(got)-1] {
-				t.Fatalf("ListPage(%d, %d).NextAfter = %d, last ID %d", limit, after, page.NextAfter, got[len(got)-1])
-			}
-			after = page.NextAfter
-		}
-		want := int64(1)
-		for _, id := range got {
-			if want == hole {
-				want++
-			}
-			if id != want {
-				t.Fatalf("limit %d walk: got ID %d, want %d", limit, id, want)
-			}
-			want++
-		}
-		if len(got) != jobs-1 {
-			t.Errorf("limit %d walk returned %d jobs, want %d", limit, len(got), jobs-1)
-		}
-	}
-	for _, after := range []int64{jobs, jobs + 1, math.MaxInt64} {
-		page, err := svc.ListPage(10, after, "")
-		if err != nil || page.Jobs == nil || len(page.Jobs) != 0 || page.NextAfter != 0 {
-			t.Errorf("ListPage(10, %d) = %+v, %v; want an empty non-nil page", after, page, err)
-		}
-	}
-
-	// 1e12 virtual ms is 1000 wall seconds at this dilation: still running
-	// when the drain's (already expired) grace is checked.
-	if _, err := svc.Submit(JobSpec{Name: "long", Phases: []PhaseSpec{{DurationsMs: []float64{1e12}}}}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if aborted, err := svc.Drain(ctx); err != nil || aborted != 1 {
-		t.Errorf("Drain: aborted %d, err %v; want the one live job", aborted, err)
+		})
 	}
 }
 
@@ -521,6 +548,7 @@ func TestFilteredPageReservesOnlyWhatItReturns(t *testing.T) {
 		BaselineWorkers: -1,
 		Driver:          driver.Options{Mode: driver.ModeNone},
 	})
+	setRetain(svc, jobs)
 	for i := 0; i < jobs; i++ {
 		spec := tinySpec("f", 1)
 		if i%3 == 0 {

@@ -28,6 +28,16 @@ import (
 // ErrDraining is returned by Submit once a drain has begun.
 var ErrDraining = errors.New("service: draining, not admitting jobs")
 
+// ErrGone is returned by Status for a job the service admitted and no longer
+// keeps: it ended longer ago than the newest retainJobs terminal jobs.
+var ErrGone = errors.New("service: job evicted from the retained job history")
+
+// retainJobs bounds the job history: the newest retainJobs terminal jobs (in
+// the order they ended) stay readable, and an older one answers ErrGone. It is
+// 1.25 MB of 128 B entries, YARN's cap on completed applications, and ample
+// for a client that reads its jobs back while hundreds of others finish.
+const retainJobs = 10000
+
 // Config assembles an online scheduling service.
 type Config struct {
 	// Nodes and SlotsPerNode size the simulated cluster. With Shards > 1
@@ -135,11 +145,11 @@ type svcShard struct {
 }
 
 // jobEntry is the service-side record of one admitted job, and all that
-// outlives the job: 128 bytes whatever the job's shape, from which status
-// renders the wire view on every read. Its ID is implicit (slot index + 1).
-// The identity and state are current from admission on and submit from the
-// hand-off; the progress fields are written once, by the job's terminal
-// event. All fields are guarded by Service.mu.
+// outlives the job until the job table evicts it: 128 bytes whatever the
+// job's shape, from which status renders the wire view on every read. Its ID
+// is implicit (slot index + 1). The identity and state are current from
+// admission on and submit from the hand-off; the progress fields are written
+// once, by the job's terminal event. All fields are guarded by Service.mu.
 type jobEntry struct {
 	name, tenant string
 	// job is the DAG while the job lives on its home shard's driver: set
@@ -162,13 +172,15 @@ type jobEntry struct {
 	finished                               bool
 }
 
-// A jobEntry's state; jobStates holds their wire names.
+// A jobEntry's state; jobStates holds their wire names. jobGone, an evicted
+// entry, has none: no reader renders one.
 const (
 	jobHole uint8 = iota
 	jobPending
 	jobRunning
 	jobCompleted
 	jobFailed
+	jobGone
 )
 
 var jobStates = [...]string{"", StatePending, StateRunning, StateCompleted, StateFailed}
@@ -215,37 +227,107 @@ func (e *jobEntry) set(st *JobStatus, finish time.Duration, finished bool) {
 // jobChunk is the number of entries in one chunk of a jobTable.
 const jobChunk = 256
 
-// jobTable holds every admitted job's entry, indexed by ID−1. IDs are handed
-// out and their slots added under one Service.mu hold, so the table is dense
-// by construction; chunks never move, so a *jobEntry stays valid across an
-// unlock. A slot whose admission failed stays zeroed (state jobHole): a hole,
-// whose ID is never reused. Guarded by Service.mu.
+// jobTable holds the entries of the admitted jobs it keeps, indexed by ID−1.
+// IDs are handed out and their slots added under one Service.mu hold, so the
+// table is dense by construction; chunks never move, so a *jobEntry stays valid
+// across an unlock. A slot whose admission failed stays zeroed (state jobHole):
+// a hole, whose ID is never reused. Guarded by Service.mu.
+//
+// The history is bounded. ring holds the IDs of the newest len(ring) terminal
+// jobs in the order they ended; each retirement past that evicts the oldest,
+// whose entry becomes jobGone. Live jobs are never in the ring, so never
+// evicted. A full chunk that holds no entry any more is freed and freed chunks
+// at the front are trimmed, so the table keeps about (live + len(ring))/256
+// chunks. A live job pins its own chunk (32 KB) until it ends and is evicted.
 type jobTable struct {
-	chunks []*[jobChunk]jobEntry
-	n      int // slots handed out: IDs 1..n
+	chunks []*[jobChunk]jobEntry // chunk first+k at k; nil once freed
+	held   []uint16              // per chunk: admitted entries neither rolled back nor evicted
+	first  int                   // chunks below it are freed and trimmed
+	n      int                   // slots handed out: IDs 1..n
+	kept   int                   // the sum of held
+	ring   []int64               // terminal IDs in the order they ended
+	ended  int                   // retirements so far; the next takes ring[ended%len(ring)]
 }
 
 // add hands out the next ID and its zeroed slot.
 func (t *jobTable) add() (dag.JobID, *jobEntry) {
 	if t.n%jobChunk == 0 {
 		t.chunks = append(t.chunks, new([jobChunk]jobEntry))
+		t.held = append(t.held, 0)
 	}
+	k := len(t.chunks) - 1
+	t.held[k]++
+	t.kept++
 	t.n++
-	return dag.JobID(t.n), t.at(t.n - 1)
+	return dag.JobID(t.n), &t.chunks[k][(t.n-1)%jobChunk]
 }
 
-// at returns slot i (job ID i+1), hole or not; 0 <= i < n.
-func (t *jobTable) at(i int) *jobEntry { return &t.chunks[i/jobChunk][i%jobChunk] }
-
-// get returns job id's entry, or nil for an ID never handed out or a hole.
-func (t *jobTable) get(id int64) *jobEntry {
+// get returns job id's entry. An ID never handed out, or a hole in a kept
+// chunk, answers nil, nil; an evicted job, or any ID in a freed chunk, answers
+// nil, ErrGone.
+func (t *jobTable) get(id int64) (*jobEntry, error) {
 	if id < 1 || id > int64(t.n) {
-		return nil
+		return nil, nil
 	}
-	if e := t.at(int(id - 1)); e.state != jobHole {
-		return e
+	i := int(id - 1)
+	k := i/jobChunk - t.first
+	if k < 0 || t.chunks[k] == nil {
+		return nil, ErrGone
 	}
-	return nil
+	switch e := &t.chunks[k][i%jobChunk]; e.state {
+	case jobHole:
+		return nil, nil
+	case jobGone:
+		return nil, ErrGone
+	default:
+		return e, nil
+	}
+}
+
+// retire records job id, just ended, as the newest of the retained history,
+// evicting the oldest once len(ring) are kept.
+func (t *jobTable) retire(id int64) {
+	slot := t.ended % len(t.ring)
+	if t.ended >= len(t.ring) {
+		t.release(t.ring[slot], jobEntry{state: jobGone})
+	}
+	t.ring[slot] = id
+	t.ended++
+}
+
+// release overwrites job id's held entry with e — a hole for a rolled-back
+// admission, jobGone for an eviction — and frees its chunk if that is full and
+// holds nothing else, trimming freed chunks off the front.
+func (t *jobTable) release(id int64, e jobEntry) {
+	i := int(id - 1)
+	k := i/jobChunk - t.first
+	t.chunks[k][i%jobChunk] = e
+	t.held[k]--
+	t.kept--
+	if t.held[k] > 0 || (t.first+k+1)*jobChunk > t.n {
+		return
+	}
+	t.chunks[k] = nil
+	for len(t.chunks) > 0 && t.chunks[0] == nil {
+		t.chunks, t.held, t.first = t.chunks[1:], t.held[1:], t.first+1
+	}
+}
+
+// walk calls fn with every kept job from slot i on, in ID order, until fn
+// returns false. Holes and evicted entries are skipped, freed chunks whole.
+func (t *jobTable) walk(i int, fn func(id int64, e *jobEntry) bool) {
+	for k := max(i/jobChunk-t.first, 0); k < len(t.chunks); k++ {
+		c := t.chunks[k]
+		if c == nil {
+			continue
+		}
+		base := (t.first + k) * jobChunk
+		for j := max(i-base, 0); j < jobChunk && base+j < t.n; j++ {
+			if e := &c[j]; e.state != jobHole && e.state != jobGone && !fn(int64(base+j+1), e) {
+				return
+			}
+		}
+	}
 }
 
 // handoff carries one Submit onto its home shard's loop. Records come from
@@ -362,6 +444,7 @@ func New(cfg Config) (*Service, error) {
 		bus:     NewBus(cfg.BusCapacity),
 		reg:     obs.NewRegistry(),
 		tenants: cfg.Tenants,
+		jobs:    jobTable{ring: make([]int64, retainJobs)},
 	}
 	if s.tenants == nil {
 		s.tenants = tenant.NewRegistry()
@@ -619,6 +702,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 		Tenant:         spec.Tenant,
 	}, s.loadsLocked())
 	if idx < 0 || idx >= len(s.shards) {
+		s.jobs.release(int64(id), jobEntry{})
 		s.tenants.Release(spec.Tenant, demand, tasks)
 		s.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("service: router %s picked out-of-range shard %d", s.cfg.Router.Name(), idx)
@@ -647,9 +731,10 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 			JobName: spec.Name, Tenant: spec.Tenant, Shard: idx, Slot: -1, Count: demand})
 		return status, nil
 	}
-	// The home shard refused (or its loop is gone): roll the admission back.
+	// The home shard refused (or its loop is gone): roll the admission back,
+	// leaving a hole.
 	s.mu.Lock()
-	*entry = jobEntry{}
+	s.jobs.release(int64(id), jobEntry{})
 	s.submitted--
 	s.outstanding--
 	sh.assigned--
@@ -693,7 +778,7 @@ func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) bool {
 	}
 	sh := s.shards[shardIdx]
 	s.mu.Lock()
-	entry := s.jobs.get(int64(ev.Job))
+	entry, _ := s.jobs.get(int64(ev.Job)) // a live job is never gone
 	if entry == nil || int(entry.shard) != shardIdx {
 		s.mu.Unlock()
 		return false // static-partition sentinel or pre-service job
@@ -721,12 +806,14 @@ func (s *Service) onDriverEvent(shardIdx int, ev driver.Event) bool {
 		s.tenants.Release(entry.tenant, demand, tasks)
 	}
 	// Retire the job in place: the driver's last view of it becomes the
-	// entry's final status and the DAG leaves the job table.
+	// entry's final status, the DAG leaves the job table, and the job joins
+	// the retained history.
 	js, found := sh.drv.Result(ev.Job)
 	st := s.statusOfLocked(sh, entry, int64(ev.Job))
 	entry.set(&st, js.Finish, found)
 	job := entry.job
 	entry.job = nil
+	s.jobs.retire(int64(ev.Job))
 	s.mu.Unlock()
 	if ev.Type == driver.EventJobDone && found && s.baselineCh != nil {
 		// Slowdown baselines run alone on a cluster shaped like the home
@@ -774,15 +861,16 @@ func (s *Service) statusOfLocked(sh *svcShard, entry *jobEntry, id int64) JobSta
 	return st
 }
 
-// Status returns one job's wire view; found is false for unknown IDs. A
-// terminal job (or one whose Submit is still in its hand-off) is answered
-// from the job table alone; only a live job costs a call onto its shard.
+// Status returns one job's wire view; found is false for unknown IDs, and for
+// an evicted job, which also returns ErrGone. A terminal job (or one whose
+// Submit is still in its hand-off) is answered from the job table alone; only
+// a live job costs a call onto its shard.
 func (s *Service) Status(id int64) (JobStatus, bool, error) {
 	s.mu.Lock()
-	entry := s.jobs.get(id)
+	entry, err := s.jobs.get(id)
 	if entry == nil {
 		s.mu.Unlock()
-		return JobStatus{}, false, nil
+		return JobStatus{}, false, err
 	}
 	if entry.job == nil {
 		st := entry.status(id)
@@ -791,16 +879,25 @@ func (s *Service) Status(id int64) (JobStatus, bool, error) {
 	}
 	sh := s.shards[entry.shard]
 	s.mu.Unlock()
-	var st JobStatus
-	err := sh.rt.Call(func() {
+	var (
+		st   JobStatus
+		gone bool
+	)
+	err = sh.rt.Call(func() {
 		s.mu.Lock()
-		st = s.statusOfLocked(sh, entry, id)
+		// The job may have ended, and been evicted, since the unlock.
+		if gone = entry.state == jobGone; !gone {
+			st = s.statusOfLocked(sh, entry, id)
+		}
 		s.mu.Unlock()
 	})
+	if gone {
+		return JobStatus{}, false, ErrGone
+	}
 	return st, true, err
 }
 
-// ListPage returns admitted jobs in submission order, starting after the
+// ListPage returns retained jobs in submission order, starting after the
 // given job ID (0 = from the beginning), optionally filtered by tenant,
 // and at most limit entries (0 = no limit). NextAfter is the last
 // returned job's ID when more matching jobs remain, 0 otherwise.
@@ -812,9 +909,8 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 		entry *jobEntry
 	}
 	s.mu.Lock()
-	n := s.jobs.n
-	start := int(min(max(after, 0), int64(n))) // slot of the first ID above after
-	size := n - start
+	start := int(min(max(after, 0), int64(s.jobs.n))) // slot of the first ID above after
+	size := min(s.jobs.n-start, s.jobs.kept)
 	if limit > 0 && limit < size {
 		size = limit
 	} else if tenantFilter != "" {
@@ -823,20 +919,20 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 	}
 	out := JobList{Jobs: make([]JobStatus, 0, size)}
 	perShard := make([][]liveRef, len(s.shards))
-	for i := start; i < n; i++ {
-		e := s.jobs.at(i)
-		if e.state == jobHole || tenantFilter != "" && e.tenant != tenantFilter {
-			continue
+	s.jobs.walk(start, func(id int64, e *jobEntry) bool {
+		if tenantFilter != "" && e.tenant != tenantFilter {
+			return true
 		}
 		if limit > 0 && len(out.Jobs) == limit {
 			out.NextAfter = out.Jobs[limit-1].ID
-			break
+			return false
 		}
 		if e.job != nil {
 			perShard[e.shard] = append(perShard[e.shard], liveRef{len(out.Jobs), e})
 		}
-		out.Jobs = append(out.Jobs, e.status(int64(i+1)))
-	}
+		out.Jobs = append(out.Jobs, e.status(id))
+		return true
+	})
 	s.mu.Unlock()
 	for k, refs := range perShard {
 		if len(refs) == 0 {
@@ -847,7 +943,11 @@ func (s *Service) ListPage(limit int, after int64, tenantFilter string) (JobList
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			for _, ref := range refs {
-				out.Jobs[ref.slot] = s.statusOfLocked(sh, ref.entry, out.Jobs[ref.slot].ID)
+				// A job that ended and was evicted since the unlock keeps
+				// the view the page took of it.
+				if ref.entry.state != jobGone {
+					out.Jobs[ref.slot] = s.statusOfLocked(sh, ref.entry, out.Jobs[ref.slot].ID)
+				}
 			}
 		})
 		if err != nil {
@@ -1167,11 +1267,12 @@ func (s *Service) Drain(ctx context.Context) (int, error) {
 		case <-ctx.Done():
 			s.mu.Lock()
 			victims := make([][]dag.JobID, len(s.shards))
-			for i := 0; i < s.jobs.n; i++ {
-				if e := s.jobs.at(i); e.state == jobPending || e.state == jobRunning {
-					victims[e.shard] = append(victims[e.shard], dag.JobID(i+1))
+			s.jobs.walk(0, func(id int64, e *jobEntry) bool {
+				if e.state == jobPending || e.state == jobRunning {
+					victims[e.shard] = append(victims[e.shard], dag.JobID(id))
 				}
-			}
+				return true
+			})
 			s.mu.Unlock()
 			aborted := 0
 			for k, ids := range victims {
